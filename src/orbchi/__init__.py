@@ -10,15 +10,9 @@ a Bernoulli-number closed form, and a log-gamma asymptotic check give
 three independent verification routes.
 """
 
-from .series import BivariatePoly, TSeries, rational_from
-from .moments import build_exponent, expand_h, gaussian_moment, moment_table, substitute_moments
-from .species import (
-    BUILTIN_SPECIES,
-    Species,
-    builtin_species,
-    required_max_n,
-    species_from_file,
-)
+from .series import BivariatePoly, TSeries
+from .moments import build_exponent, gaussian_moment, substitute_moments
+from .species import BUILTIN_SPECIES, Species, builtin_species, species_from_file
 from .euler import EulerTable, all_graphs_series, connected_series, euler_characteristic
 from .bernoulli import (
     BernoulliCheck,
@@ -28,15 +22,10 @@ from .bernoulli import (
     verify_bernoulli,
 )
 from .oracle import (
-    LabeledGraphSum,
     count_pairings,
     iter_pairings,
-    iter_partitions_min3,
-    labeled_graph_sum,
     oracle_all_graphs_coefficient,
     oracle_connected_coefficient,
-    partition_weights,
-    unsigned_graph_count,
 )
 from .analytic import (
     AsymptoticResidual,
@@ -50,17 +39,13 @@ __version__ = "0.1.0"
 __all__ = [
     "BivariatePoly",
     "TSeries",
-    "rational_from",
     "gaussian_moment",
-    "moment_table",
     "build_exponent",
-    "expand_h",
     "substitute_moments",
     "Species",
     "BUILTIN_SPECIES",
     "builtin_species",
     "species_from_file",
-    "required_max_n",
     "EulerTable",
     "all_graphs_series",
     "connected_series",
@@ -72,13 +57,8 @@ __all__ = [
     "BernoulliCheck",
     "iter_pairings",
     "count_pairings",
-    "iter_partitions_min3",
-    "partition_weights",
-    "LabeledGraphSum",
-    "labeled_graph_sum",
     "oracle_all_graphs_coefficient",
     "oracle_connected_coefficient",
-    "unsigned_graph_count",
     "AsymptoticResidual",
     "gamma_expression",
     "stirling_partial_sum",

@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .analytic import check_commutative_asymptotics
 from .bernoulli import verify_bernoulli
@@ -34,7 +35,9 @@ def main(argv: list[str] | None = None) -> int:
     return args.handler(args)
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="orbchi",
         description="Exact orbifold Euler characteristics of graph complexes.",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .moments import build_exponent, expand_h, substitute_moments
+from .moments import build_exponent, substitute_moments
 from .series import TSeries
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -52,7 +52,7 @@ def all_graphs_series(species: Species, loops: int) -> TSeries:
     if loops < 2:
         raise ValueError("loop order must be at least 2")
     exponent = build_exponent(species, 2 * (loops - 1))
-    return substitute_moments(expand_h(exponent))
+    return substitute_moments(exponent.exp())
 
 
 def connected_series(g: TSeries) -> TSeries:

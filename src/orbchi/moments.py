@@ -5,11 +5,12 @@ matchings (chord diagrams) on k labeled points: (k-1)!! for even k and 0 for
 odd k.  That identity lets the whole computation stay in exact integer
 arithmetic; no integral is ever evaluated numerically here.
 
-The three pipeline steps living in this module:
+The pipeline steps around this module:
 
 1. ``build_exponent``   -- the vertex generating polynomial -q_n s^(n-2) y^n,
    one term per admissible valence n >= 3, in variables (s, y) with s^2 = t;
-2. ``expand_h``         -- its graded exponential (disjoint unions of vertices);
+2. ``BivariatePoly.exp`` -- its graded exponential (disjoint unions of
+   vertices), in ``series``;
 3. ``substitute_moments`` -- replace each y^k by Ch_k, pairing up half-edges
    into edges, which collapses the result to a univariate series in t.
 """
@@ -24,8 +25,7 @@ from .series import BivariatePoly, TSeries
 if TYPE_CHECKING:  # pragma: no cover
     from .species import Species
 
-__all__ = ["gaussian_moment", "moment_table", "build_exponent", "expand_h",
-           "substitute_moments"]
+__all__ = ["gaussian_moment", "build_exponent", "substitute_moments"]
 
 
 def gaussian_moment(k: int) -> int:
@@ -38,17 +38,6 @@ def gaussian_moment(k: int) -> int:
     for odd in range(1, k, 2):
         out *= odd
     return out
-
-
-def moment_table(k_max: int) -> list[int]:
-    """Ch_0..Ch_k_max via the recurrence Ch_k = (k-1) * Ch_(k-2)."""
-    if k_max < 0:
-        raise ValueError("moment index must be nonnegative")
-    values = [0] * (k_max + 1)
-    values[0] = 1
-    for k in range(2, k_max + 1, 2):
-        values[k] = (k - 1) * values[k - 2]
-    return values
 
 
 def build_exponent(species: Species, s_cutoff: int) -> BivariatePoly:
@@ -64,11 +53,6 @@ def build_exponent(species: Species, s_cutoff: int) -> BivariatePoly:
         if q:
             terms[(n - 2, n)] = -q
     return BivariatePoly(terms, s_cutoff)
-
-
-def expand_h(exponent: BivariatePoly) -> BivariatePoly:
-    """Graded exponential of the vertex polynomial; constant term 1."""
-    return exponent.exp()
 
 
 def substitute_moments(p: BivariatePoly) -> TSeries:

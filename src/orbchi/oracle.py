@@ -1,45 +1,36 @@
 """Brute-force enumeration oracle for the graph-sum coefficients.
 
-Everything here counts labeled objects directly: perfect matchings of
-half-edges are enumerated one by one, set partitions with blocks of size
->= 3 likewise.  No generating-function machinery is imported, so these
-sums are an independent check on the series pipeline.
-
 A labeled graph on 2e half-edges is a pair (pairing, partition): the
 partition blocks are the vertices, the pairs are the edges.  Summing
 (-1)^v * weight / (2e)! over all such pairs gives the coefficient of t^m
-(m = e - v) in the all-graphs series.  Without a connectivity constraint
-the two factors are independent and the sum factorizes; the connected
-variant has to walk (pairing, partition) pairs jointly.
+(m = e - v) in the all-graphs series; restricting to connected pairs
+gives the connected series.
 
-The joint walk is reduced by symmetry: connectivity and weight depend
-only on the multiset of block sizes, so one canonical partition per
-shape is enumerated and multiplied by the number of partitions sharing
-that shape.
+Weight and connectivity depend on a partition only through its multiset
+of block sizes (its shape), so the sum runs over shapes.  The number of
+partitions of each shape comes from the multinomial formula.  Pairings
+are enumerated one by one: every pairing of the 2e half-edges counts
+for the all-graphs sum, and a disjoint-set filter keeps those that
+connect a canonical partition of the shape for the connected sum.  No
+generating-function machinery is imported, so these sums are an
+independent check on the series pipeline.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from math import factorial, prod
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .species import Species
 
 __all__ = [
     "iter_pairings",
     "count_pairings",
-    "iter_partitions_min3",
-    "partition_weights",
-    "LabeledGraphSum",
-    "labeled_graph_sum",
     "oracle_all_graphs_coefficient",
     "oracle_connected_coefficient",
-    "unsigned_graph_count",
 ]
 
 # Joint (pairing, partition) enumeration is kept affordable by capping
@@ -75,105 +66,25 @@ def count_pairings(k: int) -> int:
     return sum(1 for _ in iter_pairings(range(k)))
 
 
-def iter_partitions_min3(elements: Sequence[int]) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Yield set partitions of ``elements`` with every block of size >= 3.
-
-    Blocks are ordered by smallest element (the block containing the
-    first element comes first), so each partition appears exactly once.
-    """
-    items = tuple(elements)
-    if not items:
-        yield ()
-        return
-    if len(items) < 3:
-        return
-    first, rest = items[0], items[1:]
-    for r in range(2, len(rest) + 1):
-        for companions in combinations(rest, r):
-            taken = set(companions)
-            block = (first,) + companions
-            left = tuple(x for x in rest if x not in taken)
-            for tail in iter_partitions_min3(left):
-                yield (block,) + tail
-
-
-def partition_weights(sp: Species, k: int) -> dict[int, Fraction]:
-    """Weighted counts of min-3 partitions of {1..k}, keyed by block count.
-
-    The weight of a partition is the product over blocks of the species
-    count Q_{|block|}.  Keys with zero total weight are dropped; k = 0
-    gives {0: 1} for the empty partition.
-    """
-    sp.check_coverage(k)
-    weights: dict[int, Fraction] = {}
-    for partition in iter_partitions_min3(range(1, k + 1)):
-        w = Fraction(1)
-        for block in partition:
-            w *= sp.structure_count(len(block))
-            if not w:
-                break
-        if w:
-            v = len(partition)
-            weights[v] = weights.get(v, Fraction(0)) + w
-    return {v: w for v, w in weights.items() if w}
-
-
-@dataclass(frozen=True)
-class LabeledGraphSum:
-    """Signed, Aut-normalized graph count at fixed edge number.
-
-    per_vertex_count[v] is the total contribution of labeled graphs with
-    v vertices on half_edges half-edges: (-1)^v Ch * W_v / (2e)!.
-    """
-
-    species_name: str
-    half_edges: int
-    per_vertex_count: dict[int, Fraction]
-
-    def __post_init__(self) -> None:
-        # valence >= 3 forces 1 <= v <= floor(2e/3)
-        for v in self.per_vertex_count:
-            if not 1 <= v <= self.half_edges // 3:
-                raise ValueError(f"vertex count {v} out of range")
-
-
-def labeled_graph_sum(sp: Species, e: int) -> LabeledGraphSum:
-    """Enumerate all labeled graphs with e edges, grouped by vertex count."""
-    if e < 1:
-        raise ValueError("e must be >= 1")
-    k = 2 * e
-    ch = count_pairings(k)
-    norm = factorial(k)
-    per_vertex = {
-        v: Fraction(-1 if v % 2 else 1) * ch * w / norm
-        for v, w in sorted(partition_weights(sp, k).items())
-    }
-    return LabeledGraphSum(sp.name, k, per_vertex)
-
-
 def oracle_all_graphs_coefficient(sp: Species, m: int, max_e: int) -> Fraction:
     """Coefficient of t^m in the all-graphs series, by direct counting.
 
     Graphs with m = e - v exist only for m+1 <= e <= 3m, so the sum is
-    complete once max_e >= 3m.
+    complete once max_e >= 3m.  The empty graph adds 1 at m = 0.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
     if max_e < 3 * m:
         raise ValueError("incomplete sum")
-    total = Fraction(1) if m == 0 else Fraction(0)
-    for e in range(m + 1, 3 * m + 1):
-        counts = labeled_graph_sum(sp, e).per_vertex_count
-        total += counts.get(e - m, Fraction(0))
-    return total
+    empty = Fraction(1) if m == 0 else Fraction(0)
+    return empty + _shape_sum(sp, m, lambda shape: count_pairings(sum(shape)))
 
 
 def oracle_connected_coefficient(sp: Species, m: int, max_e: int) -> Fraction:
     """Coefficient of t^m restricted to connected graphs.
 
-    Joint enumeration over (pairing, partition) pairs: connectivity
-    couples the two, so no factorization is available.  Cost is bounded
-    by requiring 2 * max_e <= 12.
+    Only pairings that connect the vertices count.  Cost is bounded by
+    requiring 2 * max_e <= 12.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
@@ -183,34 +94,24 @@ def oracle_connected_coefficient(sp: Species, m: int, max_e: int) -> Fraction:
         raise ValueError(
             f"joint enumeration budget is 2e <= {JOINT_HALF_EDGE_LIMIT}"
         )
+    return _shape_sum(sp, m, _connected_pairing_count)
+
+
+def _shape_sum(sp: Species, m: int, pairings: Callable[[tuple[int, ...]], int]) -> Fraction:
+    """Sum of (-1)^v * #partitions * prod Q * pairings(shape) / (2e)!
+    over the block shapes of every graph with e - v = m."""
     total = Fraction(0)
     for e in range(m + 1, 3 * m + 1):
         k = 2 * e
         v = e - m
         sp.check_coverage(k)
-        sign = Fraction(-1 if v % 2 else 1)
+        sign = -1 if v % 2 else 1
         for shape in _block_shapes(k, v):
-            weight = Fraction(1)
-            for size in shape:
-                weight *= sp.structure_count(size)
-                if not weight:
-                    break
-            if not weight:
-                continue
-            conn = _connected_pairing_count(shape)
-            if not conn:
-                continue
-            total += sign * _shape_partition_count(shape) * weight * conn / factorial(k)
+            weight = prod(sp.structure_count(size) for size in shape)
+            count = pairings(shape) if weight else 0
+            if count:
+                total += sign * _shape_partition_count(shape) * weight * count / factorial(k)
     return total
-
-
-def unsigned_graph_count(sp: Species, e: int) -> Fraction:
-    """Automorphism-weighted count of labeled graphs with e edges, no sign."""
-    if e < 0:
-        raise ValueError("e must be >= 0")
-    k = 2 * e
-    w = sum(partition_weights(sp, k).values(), Fraction(0))
-    return count_pairings(k) * w / Fraction(factorial(k))
 
 
 def _block_shapes(total: int, parts: int, largest: int | None = None) -> Iterator[tuple[int, ...]]:

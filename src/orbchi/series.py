@@ -22,14 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-__all__ = ["rational_from", "BivariatePoly", "TSeries"]
-
-
-def rational_from(num: int, den: int = 1) -> Fraction:
-    """Reduced rational num/den with positive denominator; sign on the numerator."""
-    if den == 0:
-        raise ZeroDivisionError("division by zero")
-    return Fraction(num, den)
+__all__ = ["BivariatePoly", "TSeries"]
 
 
 def _as_fraction(value) -> Fraction:

@@ -29,8 +29,7 @@ from typing import Callable, Mapping
 
 from .moments import gaussian_moment
 
-__all__ = ["Species", "BUILTIN_SPECIES", "builtin_species", "species_from_file",
-           "required_max_n"]
+__all__ = ["Species", "BUILTIN_SPECIES", "builtin_species", "species_from_file"]
 
 
 class Species:
@@ -166,14 +165,3 @@ def _parse_count(path: Path, n: int, value) -> Fraction:
         except (ValueError, ZeroDivisionError):
             pass
     raise ValueError(f"species file '{path}': Q_{n} must be an integer or 'p/q', got {value!r}")
-
-
-def required_max_n(loops: int) -> int:
-    """Largest vertex valence reachable at the given loop order.
-
-    Reaching t^(N-1) = s^(2N-2) with a single vertex of valence n, which
-    carries s^(n-2), forces n <= 2N.
-    """
-    if loops < 2:
-        raise ValueError("loop order must be at least 2")
-    return 2 * loops

@@ -84,6 +84,9 @@ class TestCompute:
     def test_deterministic(self, capsys):
         args = ("compute", "--species", "associative", "--format", "csv")
         _, first, _ = run(capsys, *args)
+        # a parse failure in between leaves the shared parser unchanged
+        code, _, _ = run(capsys, "compute")
+        assert code == 2
         _, second, _ = run(capsys, *args)
         assert first == second
 

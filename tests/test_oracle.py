@@ -1,26 +1,38 @@
 """Unit tests for the brute-force labeled-graph enumeration oracle."""
 
+import json
 from fractions import Fraction as F
-from math import factorial
+from math import prod
 
 import pytest
 import sympy
 
 from orbchi.euler import all_graphs_series, connected_series
 from orbchi.oracle import (
-    LabeledGraphSum,
+    _block_shapes,
+    _shape_partition_count,
     count_pairings,
     iter_pairings,
-    iter_partitions_min3,
-    labeled_graph_sum,
     oracle_all_graphs_coefficient,
     oracle_connected_coefficient,
-    partition_weights,
-    unsigned_graph_count,
 )
-from orbchi.species import builtin_species
+from orbchi.species import builtin_species, species_from_file
 
 COMM = builtin_species("commutative")
+
+
+def partitions_by_blocks(k, sp=None):
+    """Min-3 set partitions of {1..k} keyed by block count, summed over the
+    oracle's block shapes; with a species, each is weighted by prod Q."""
+    out = {}
+    for v in range(k // 3 + 1):
+        for shape in _block_shapes(k, v):
+            w = _shape_partition_count(shape)
+            if sp is not None:
+                w *= prod(sp.structure_count(size) for size in shape)
+            if w:
+                out[v] = out.get(v, 0) + w
+    return out
 
 
 class TestPairings:
@@ -55,21 +67,25 @@ class TestPairings:
 
 class TestPartitions:
     def test_six_elements(self):
-        parts = list(iter_partitions_min3(range(1, 7)))
-        assert len(parts) == 11  # one 6-block + 10 splits into two 3-blocks
-        assert sum(1 for p in parts if len(p) == 2) == 10
+        # one 6-block + 10 splits into two 3-blocks
+        assert partitions_by_blocks(6) == {1: 1, 2: 10}
 
     def test_blocks_canonical(self):
-        for p in iter_partitions_min3(range(8)):
-            firsts = [block[0] for block in p]
-            assert firsts == sorted(firsts)
-            assert all(block == tuple(sorted(block)) for block in p)
+        for k in range(13):
+            for v in range(k // 3 + 1):
+                shapes = list(_block_shapes(k, v))
+                assert len(shapes) == len(set(shapes))
+                for shape in shapes:
+                    assert len(shape) == v and sum(shape) == k
+                    assert list(shape) == sorted(shape, reverse=True)
+                    assert all(size >= 3 for size in shape)
 
     def test_too_few_elements(self):
-        assert list(iter_partitions_min3((1, 2))) == []
+        assert partitions_by_blocks(2) == {}
 
     def test_empty_partition(self):
-        assert list(iter_partitions_min3(())) == [()]
+        assert list(_block_shapes(0, 0)) == [()]
+        assert partitions_by_blocks(0) == {0: 1}
 
     def test_counts_match_egf(self):
         # coefficients of e^(e^x - 1 - x - x^2/2) count min-3 partitions
@@ -78,65 +94,43 @@ class TestPartitions:
         series = sympy.series(egf, x, 0, 13).removeO()
         for k in range(13):
             expected = int(series.coeff(x, k) * sympy.factorial(k))
-            got = sum(1 for _ in iter_partitions_min3(range(k)))
-            assert got == expected
+            assert sum(partitions_by_blocks(k).values()) == expected
 
 
 class TestPartitionWeights:
     def test_commutative_six(self):
-        assert partition_weights(COMM, 6) == {1: F(1), 2: F(10)}
+        assert partitions_by_blocks(6, COMM) == {1: F(1), 2: F(10)}
 
     def test_associative_six(self):
         assoc = builtin_species("associative")
-        assert partition_weights(assoc, 6) == {1: F(120), 2: F(40)}
+        assert partitions_by_blocks(6, assoc) == {1: F(120), 2: F(40)}
 
     def test_five_is_single_block(self):
         for name in ("commutative", "associative", "lie"):
             sp = builtin_species(name)
-            assert partition_weights(sp, 5) == {1: sp.structure_count(5)}
+            assert partitions_by_blocks(5, sp) == {1: sp.structure_count(5)}
         # chord kills odd blocks entirely
-        assert partition_weights(builtin_species("chord"), 5) == {}
+        assert partitions_by_blocks(5, builtin_species("chord")) == {}
 
     def test_empty_ground_set(self):
-        assert partition_weights(COMM, 0) == {0: F(1)}
+        assert partitions_by_blocks(0, COMM) == {0: F(1)}
 
     def test_commutative_totals_match_egf(self):
         x = sympy.symbols("x")
         egf = sympy.exp(sympy.exp(x) - 1 - x - x ** 2 / 2)
         series = sympy.series(egf, x, 0, 13).removeO()
         for k in range(3, 13):
-            total = sum(partition_weights(COMM, k).values(), F(0))
+            total = sum(partitions_by_blocks(k, COMM).values(), F(0))
             assert total == int(series.coeff(x, k) * sympy.factorial(k))
 
     def test_coverage_error(self, tmp_path):
-        import json
-
-        from orbchi.species import species_from_file
-
         f = tmp_path / "sp.json"
         f.write_text(json.dumps({"name": "x", "Q": {"3": 1, "4": 1}}))
+        sp = species_from_file(f)
         with pytest.raises(ValueError, match="n=6"):
-            partition_weights(species_from_file(f), 6)
-
-
-class TestLabeledGraphSum:
-    def test_vertex_count_bounds(self):
-        with pytest.raises(ValueError, match="out of range"):
-            LabeledGraphSum("x", 6, {3: F(1)})
-        with pytest.raises(ValueError, match="out of range"):
-            LabeledGraphSum("x", 6, {0: F(1)})
-
-    def test_commutative_three_edges(self):
-        gs = labeled_graph_sum(COMM, 3)
-        assert gs.half_edges == 6
-        assert gs.per_vertex_count == {
-            1: F(-15, 720),        # -Ch_6 * 1 / 6!
-            2: F(150, 720),        # +Ch_6 * 10 / 6!
-        }
-
-    def test_needs_an_edge(self):
-        with pytest.raises(ValueError):
-            labeled_graph_sum(COMM, 0)
+            oracle_all_graphs_coefficient(sp, 1, 3)
+        with pytest.raises(ValueError, match="n=6"):
+            oracle_connected_coefficient(sp, 1, 3)
 
 
 class TestAllGraphsOracle:
@@ -189,21 +183,3 @@ class TestConnectedOracle:
         sp = builtin_species(name)
         connected = connected_series(all_graphs_series(sp, m + 1))
         assert oracle_connected_coefficient(sp, m, 3 * m) == connected[m]
-
-
-class TestUnsignedCount:
-    def test_figure_eight(self):
-        # the unique 1-vertex 2-edge graph has |Aut| = 8
-        assert unsigned_graph_count(COMM, 2) == F(1, 8)
-
-    def test_three_edges(self):
-        assert unsigned_graph_count(COMM, 3) == F(11, 48)
-
-    def test_one_edge(self):
-        assert unsigned_graph_count(COMM, 1) == 0
-
-    def test_matches_per_vertex_totals(self):
-        for e in (2, 3, 4):
-            gs = labeled_graph_sum(COMM, e)
-            total = sum(abs(c) for c in gs.per_vertex_count.values())
-            assert total == unsigned_graph_count(COMM, e)

@@ -1,41 +1,15 @@
-"""Unit tests for exact rationals, bivariate polynomials, and t-series."""
+"""Unit tests for bivariate polynomials and t-series."""
 
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, strategies as st
 
-from orbchi.series import BivariatePoly, TSeries, rational_from
+from orbchi.series import BivariatePoly, TSeries
 
 
 def bp(terms, cutoff):
     return BivariatePoly(terms, cutoff)
-
-
-class TestRationalFrom:
-    def test_reduction(self):
-        assert rational_from(2, 24) == F(1, 12)
-
-    def test_sign_normalization(self):
-        r = rational_from(-1, -24)
-        assert r == F(1, 24)
-        assert r.denominator == 24 and r.numerator == 1
-
-    def test_zero(self):
-        r = rational_from(0, 7)
-        assert r == 0 and r.denominator == 1
-
-    def test_zero_denominator(self):
-        with pytest.raises(ZeroDivisionError, match="division by zero"):
-            rational_from(1, 0)
-
-    def test_default_denominator(self):
-        assert rational_from(5) == F(5)
-
-    @given(st.integers(-10**6, 10**6), st.integers(1, 10**4),
-           st.integers(-50, 50).filter(bool))
-    def test_scaling_invariance(self, num, den, k):
-        assert rational_from(num * k, den * k) == rational_from(num, den)
 
 
 class TestBivariatePolyBasics:

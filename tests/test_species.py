@@ -9,7 +9,6 @@ import pytest
 from orbchi.species import (
     BUILTIN_SPECIES,
     builtin_species,
-    required_max_n,
     species_from_file,
 )
 
@@ -144,12 +143,3 @@ class TestSpeciesFromFile:
         with pytest.raises(ValueError, match="n=5"):
             sp.check_coverage(5)
 
-
-class TestRequiredMaxN:
-    @pytest.mark.parametrize("loops,expected", [(2, 4), (3, 6), (11, 22)])
-    def test_formula(self, loops, expected):
-        assert required_max_n(loops) == expected
-
-    def test_rejects_small_loops(self):
-        with pytest.raises(ValueError):
-            required_max_n(1)
