@@ -12,27 +12,11 @@ three independent verification routes.
 
 from .series import BivariatePoly, TSeries
 from .moments import build_exponent, gaussian_moment, substitute_moments
-from .species import BUILTIN_SPECIES, Species, builtin_species, species_from_file
+from .species import Species, builtin_species, species_from_file
 from .euler import EulerTable, all_graphs_series, connected_series, euler_characteristic
-from .bernoulli import (
-    BernoulliCheck,
-    bernoulli_number,
-    bernoulli_numbers,
-    closed_form_table,
-    verify_bernoulli,
-)
-from .oracle import (
-    count_pairings,
-    iter_pairings,
-    oracle_all_graphs_coefficient,
-    oracle_connected_coefficient,
-)
-from .analytic import (
-    AsymptoticResidual,
-    check_commutative_asymptotics,
-    gamma_expression,
-    stirling_partial_sum,
-)
+from .bernoulli import bernoulli_numbers, verify_bernoulli
+from .oracle import oracle_all_graphs_coefficient, oracle_connected_coefficient
+from .analytic import check_commutative_asymptotics
 
 __version__ = "0.1.0"
 
@@ -43,25 +27,16 @@ __all__ = [
     "build_exponent",
     "substitute_moments",
     "Species",
-    "BUILTIN_SPECIES",
     "builtin_species",
     "species_from_file",
     "EulerTable",
     "all_graphs_series",
     "connected_series",
     "euler_characteristic",
-    "bernoulli_number",
     "bernoulli_numbers",
-    "closed_form_table",
     "verify_bernoulli",
-    "BernoulliCheck",
-    "iter_pairings",
-    "count_pairings",
     "oracle_all_graphs_coefficient",
     "oracle_connected_coefficient",
-    "AsymptoticResidual",
-    "gamma_expression",
-    "stirling_partial_sum",
     "check_commutative_asymptotics",
     "__version__",
 ]

@@ -2,8 +2,8 @@
 
 Exit codes: 0 success / all checks pass, 1 computation error or failed
 check, 2 usage error.  All rational output is exact ("p/q", or "p" when
-the denominator is 1); --decimal adds clearly marked float approximations
-but never replaces the exact values.
+the denominator is 1); --decimal adds clearly marked 15-digit decimal
+approximations but never replaces the exact values.
 """
 
 from __future__ import annotations
@@ -145,7 +145,31 @@ def _render(table: EulerTable, fmt: str, decimal: bool) -> list[str]:
 
 
 def _approx(v: Fraction) -> str:
-    return format(float(v), ".15g")
+    """v to 15 significant digits, in the shape of format(x, ".15g").
+
+    Rounds half to even from the exact integers, so a value outside the
+    range of a float neither overflows nor underflows to zero.
+    """
+    if not v:
+        return "0"
+    mag = abs(v)
+    exp = len(str(mag.numerator)) - len(str(mag.denominator))
+    if mag < Fraction(10) ** exp:
+        exp -= 1
+    digits = round(mag / Fraction(10) ** (exp - 14))
+    if digits == 10 ** 15:
+        digits //= 10
+        exp += 1
+    text = str(digits)
+    if -4 <= exp < 15:
+        if exp >= 0:
+            body = text[: exp + 1] + "." + text[exp + 1:]
+        else:
+            body = "0." + "0" * (-exp - 1) + text
+        body = body.rstrip("0").rstrip(".")
+    else:
+        body = (text[0] + "." + text[1:]).rstrip("0").rstrip(".") + f"e{exp:+03d}"
+    return ("-" if v < 0 else "") + body
 
 
 def _latex_rational(v: Fraction) -> str:

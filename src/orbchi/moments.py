@@ -10,9 +10,12 @@ The pipeline steps around this module:
 1. ``build_exponent``   -- the vertex generating polynomial -q_n s^(n-2) y^n,
    one term per admissible valence n >= 3, in variables (s, y) with s^2 = t;
 2. ``BivariatePoly.exp`` -- its graded exponential (disjoint unions of
-   vertices), in ``series``;
+   vertices), in ``series``, by the s-row recurrence
+   i h_i = sum_{k=1..i} (k e_k) h_{i-k} that follows from H' = E'H;
 3. ``substitute_moments`` -- replace each y^k by Ch_k, pairing up half-edges
-   into edges, which collapses the result to a univariate series in t.
+   into edges, which collapses the result to a univariate series in t;
+4. ``TSeries.log`` -- keep the connected graphs, in ``series``, by the
+   recurrence c_m = g_m - (1/m) sum_{k=1..m-1} k c_k g_{m-k}.
 """
 
 from __future__ import annotations

@@ -12,6 +12,18 @@ Two carriers cover everything the Euler-characteristic pipeline needs:
     a truncated univariate power series in ``t`` with rational coefficients,
     stored densely as a coefficient tuple of length ``order + 1``.
 
+Both exponentials and the logarithm use the derivative recurrences of
+power-series algebra (Knuth, TAOCP vol. 2, sec. 4.7; Flajolet and Sedgewick,
+*Analytic Combinatorics*, ch. II), not power sums:
+
+* H = exp(E) satisfies H' = E'H in s, so its s-rows obey
+  i h_i = sum_{k=1..i} (k e_k) h_{i-k}; ``_exp_rows`` runs this for both
+  ``BivariatePoly.exp`` and ``TSeries.exp``;
+* C = log(G) satisfies G C' = G', so
+  c_m = g_m - (1/m) sum_{k=1..m-1} k c_k g_{m-k}.
+
+Each costs O(N^2) row products for N rows.
+
 All coefficients are exact ``fractions.Fraction`` values; no floating point
 enters this module.  Values are immutable after construction and every
 operation returns a fresh object, so instances are safe to share.
@@ -31,6 +43,26 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def _exp_rows(rows: list[dict[int, Fraction]]) -> list[dict[int, Fraction]]:
+    """Rows h_0..h_N of H = exp(E), from the rows e_0..e_N of E.
+
+    Row i maps a y-degree to the coefficient of s^i y^j; e_0 must be empty.
+    From H' = E'H: i h_i = sum_{k=1..i} (k e_k) h_{i-k}, with h_0 = 1.
+    """
+    scaled = [{j: k * c for j, c in row.items()} for k, row in enumerate(rows)]
+    h: list[dict[int, Fraction]] = [{0: Fraction(1)}]
+    for i in range(1, len(rows)):
+        acc: dict[int, Fraction] = {}
+        for k in range(1, i + 1):
+            prev = h[i - k]
+            for j1, c1 in scaled[k].items():
+                for j2, c2 in prev.items():
+                    j = j1 + j2
+                    acc[j] = acc.get(j, 0) + c1 * c2
+        h.append({j: c / i for j, c in acc.items() if c})
+    return h
 
 
 class BivariatePoly:
@@ -140,18 +172,19 @@ class BivariatePoly:
 
         Requires every term to have s-degree >= 1 (in particular no constant
         term), which makes each coefficient of the result a finite sum: the
-        k-th power only reaches s-degrees >= k.
+        k-th power only reaches s-degrees >= k.  Computed row by row in s
+        with the recurrence i h_i = sum_k (k e_k) h_{i-k} (``_exp_rows``).
         """
         if any(i == 0 for (i, _) in self._terms):
             raise ValueError("exponential not graded-finite")
-        acc = BivariatePoly.one(self._s_cutoff)
-        power = BivariatePoly.one(self._s_cutoff)
-        for k in range(1, self._s_cutoff + 1):
-            power = power * self * Fraction(1, k)
-            if not power:
-                break
-            acc = acc + power
-        return acc
+        rows: list[dict[int, Fraction]] = [{} for _ in range(self._s_cutoff + 1)]
+        for (i, j), c in self._terms.items():
+            rows[i][j] = c
+        h = _exp_rows(rows)
+        return BivariatePoly(
+            {(i, j): c for i, row in enumerate(h) for j, c in row.items()},
+            self._s_cutoff,
+        )
 
     def __str__(self) -> str:
         parts = []
@@ -257,28 +290,33 @@ class TSeries:
     def log(self) -> TSeries:
         """sum_{k>=1} (-1)^(k+1) (self - 1)^k / k, truncated at the order.
 
-        Left inverse of :meth:`exp` on truncated series.
+        Left inverse of :meth:`exp` on truncated series.  Computed by the
+        recurrence c_m = g_m - (1/m) sum_{k=1..m-1} k c_k g_{m-k}.
         """
-        if self._coeffs[0] != 1:
+        g = self._coeffs
+        if g[0] != 1:
             raise ValueError("log requires unit constant term")
-        u = self - 1
-        acc = TSeries.zero(self.order)
-        power = TSeries.one(self.order)
-        for k in range(1, self.order + 1):
-            power = power * u
-            acc = acc + power * Fraction((-1) ** (k + 1), k)
-        return acc
+        c = [Fraction(0)]
+        scaled = [Fraction(0)]  # k c_k
+        for m in range(1, len(g)):
+            acc = Fraction(0)
+            for k in range(1, m):
+                if scaled[k] and g[m - k]:
+                    acc += scaled[k] * g[m - k]
+            c.append(g[m] - acc / m)
+            scaled.append(m * c[m])
+        return TSeries(c)
 
     def exp(self) -> TSeries:
-        """sum_{k>=0} self^k / k!, truncated; requires zero constant term."""
+        """sum_{k>=0} self^k / k!, truncated; requires zero constant term.
+
+        Computed by the same recurrence as :meth:`BivariatePoly.exp`, on
+        y-degree-0 rows.
+        """
         if self._coeffs[0] != 0:
             raise ValueError("exponential requires zero constant term")
-        acc = TSeries.one(self.order)
-        power = TSeries.one(self.order)
-        for k in range(1, self.order + 1):
-            power = power * self * Fraction(1, k)
-            acc = acc + power
-        return acc
+        h = _exp_rows([{0: c} if c else {} for c in self._coeffs])
+        return TSeries(row.get(0, Fraction(0)) for row in h)
 
     def __str__(self) -> str:
         parts = []

@@ -75,6 +75,18 @@ class TestCompute:
         assert code == 0
         assert out.splitlines() == ["2: 1/12 ~ 0.0833333333333333"]
 
+    @pytest.mark.parametrize("q, decimals", [
+        ("1" + "0" * 200, ["2.08333333333333e+399", "3.125e+799"]),
+        ("1/1" + "0" * 400, ["-1.25e-401", "-2.08333333333333e-402"]),
+    ])
+    def test_decimal_beyond_float_range(self, capsys, tmp_path, q, decimals):
+        f = tmp_path / "extreme.json"
+        f.write_text(json.dumps({"name": "extreme", "Q": {str(n): q for n in range(3, 7)}}))
+        code, out, err = run(capsys, "compute", "--species", f"file:{f}",
+                             "--max-loops", "3", "--decimal")
+        assert code == 0, err
+        assert [line.split(" ~ ")[1] for line in out.splitlines()] == decimals
+
     def test_json_round_trip(self, capsys):
         code, out, _ = run(capsys, "compute", "--species", "lie", "--format", "json")
         assert code == 0

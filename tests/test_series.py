@@ -113,7 +113,45 @@ def graded_polys(cutoff=5, max_y=6):
     )
 
 
+def tseries(constant, max_order=11):
+    tails = st.lists(small_fractions, max_size=max_order)
+    return tails.map(lambda tail: TSeries([F(constant)] + tail))
+
+
+# The power-sum definitions, built from * and + only; the library computes
+# the same series by derivative recurrences.
+
+def power_sum_exp(e, one, terms):
+    acc = power = one
+    for k in range(1, terms + 1):
+        power = power * e * F(1, k)
+        acc = acc + power
+    return acc
+
+
+def power_sum_log(g):
+    u = g - 1
+    acc = TSeries.zero(g.order)
+    power = TSeries.one(g.order)
+    for k in range(1, g.order + 1):
+        power = power * u
+        acc = acc + power * F((-1) ** (k + 1), k)
+    return acc
+
+
 class TestSeriesProperties:
+    @given(st.integers(1, 8).flatmap(graded_polys))
+    def test_bivariate_exp_matches_power_sum(self, e):
+        assert e.exp() == power_sum_exp(e, BivariatePoly.one(e.s_cutoff), e.s_cutoff)
+
+    @given(tseries(0))
+    def test_tseries_exp_matches_power_sum(self, c):
+        assert c.exp() == power_sum_exp(c, TSeries.one(c.order), c.order)
+
+    @given(tseries(1))
+    def test_tseries_log_matches_power_sum(self, g):
+        assert g.log() == power_sum_log(g)
+
     @given(graded_polys(), graded_polys(), graded_polys())
     def test_mul_commutative_associative(self, a, b, c):
         assert a * b == b * a
