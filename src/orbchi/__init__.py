@@ -12,7 +12,7 @@ three independent verification routes.
 
 from .series import BivariatePoly, TSeries
 from .moments import build_exponent, gaussian_moment, substitute_moments
-from .species import Species, builtin_species, species_from_file
+from .species import Species, UsageError, builtin_species, species_from_file
 from .euler import EulerTable, all_graphs_series, connected_series, euler_characteristic
 from .bernoulli import bernoulli_numbers, verify_bernoulli
 from .oracle import oracle_all_graphs_coefficient, oracle_connected_coefficient
@@ -27,6 +27,7 @@ __all__ = [
     "build_exponent",
     "substitute_moments",
     "Species",
+    "UsageError",
     "builtin_species",
     "species_from_file",
     "EulerTable",

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bernoulli import bernoulli_number, bernoulli_numbers
+from .species import UsageError
 
 __all__ = ["AsymptoticResidual", "gamma_expression", "stirling_partial_sum",
            "check_commutative_asymptotics"]
@@ -68,9 +69,9 @@ def check_commutative_asymptotics(t: float, terms: int) -> AsymptoticResidual:
     the check passes when the residual is within 10x of it.
     """
     if not 0.0 < t <= 0.2:
-        raise ValueError("t must lie in (0, 1/5]")
+        raise UsageError("t must lie in (0, 1/5]")
     if not 1 <= terms <= 5:
-        raise ValueError("terms must lie in 1..5")
+        raise UsageError("terms must lie in 1..5")
     lhs = gamma_expression(t)
     rhs = stirling_partial_sum(t, terms)
     next_coeff = bernoulli_number(2 * terms + 2) / ((2 * terms + 2) * (2 * terms + 1))

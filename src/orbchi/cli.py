@@ -1,9 +1,14 @@
 """Command-line interface: compute Euler characteristic tables, run checks.
 
 Exit codes: 0 success / all checks pass, 1 computation error or failed
-check, 2 usage error.  All rational output is exact ("p/q", or "p" when
-the denominator is 1); --decimal adds clearly marked 15-digit decimal
-approximations but never replaces the exact values.
+check, 2 usage error.  The handlers hold no range checks and catch
+nothing: the library's own checks decide, raising ``UsageError`` for a
+request out of range, and ``main`` alone maps an exception to one
+``error:`` line on stderr and its exit code.
+
+All rational output is exact ("p/q", or "p" when the denominator is 1);
+--decimal adds clearly marked 15-digit decimal approximations but never
+replaces the exact values.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from .analytic import check_commutative_asymptotics
 from .bernoulli import verify_bernoulli
 from .euler import EulerTable, all_graphs_series, connected_series, euler_characteristic
 from .oracle import oracle_all_graphs_coefficient, oracle_connected_coefficient
-from .species import Species, builtin_species, species_from_file
+from .species import Species, UsageError, builtin_species, species_from_file
 
 __all__ = ["main"]
 
@@ -32,7 +37,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse handles --help (0) and parse failures (2) itself
         return int(exc.code or 0)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except Exception as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return 2 if isinstance(exc, UsageError) else 1
 
 
 @cache
@@ -78,47 +87,38 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _usage(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
-
-
-def _load_species(arg: str) -> tuple[Species | None, int]:
-    """Resolve NAME|file:PATH; on failure print and return the exit code.
-
-    A bad builtin name is a usage error (2); an unreadable or malformed
-    species file is a computation error (1).
-    """
+def _species(arg: str) -> Species:
+    """Resolve NAME|file:PATH."""
     if arg.startswith("file:"):
-        try:
-            return species_from_file(arg[len("file:"):]), 0
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return None, 1
-    try:
-        return builtin_species(arg), 0
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None, 2
+        return species_from_file(arg[len("file:"):])
+    return builtin_species(arg)
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
-    if args.max_loops < 2:
-        return _usage("max-loops must be >= 2")
-    sp, code = _load_species(args.species)
-    if sp is None:
-        return code
-    try:
-        table = euler_characteristic(sp, args.max_loops, connected=not args.all)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    table = euler_characteristic(_species(args.species), args.max_loops,
+                                 connected=not args.all)
     for line in _render(table, args.format, args.decimal):
         print(line)
     return 0
 
 
 def _render(table: EulerTable, fmt: str, decimal: bool) -> list[str]:
+    """The output lines, each exact value in full however many digits it has.
+
+    Python caps int-to-str conversion at 4300 digits by default (3.11+,
+    3.10.7+); the cap is lifted here only, so species-file parsing keeps it.
+    """
+    saved = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if saved:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _lines(table, fmt, decimal)
+    finally:
+        if saved:
+            sys.set_int_max_str_digits(saved)
+
+
+def _lines(table: EulerTable, fmt: str, decimal: bool) -> list[str]:
     items = [(n, table.entries[n]) for n in range(2, table.max_loops + 1)]
     if fmt == "plain":
         return [f"{n}: {v}" + (f" ~ {_approx(v)}" if decimal else "")
@@ -180,8 +180,6 @@ def _latex_rational(v: Fraction) -> str:
 
 
 def _cmd_verify_bernoulli(args: argparse.Namespace) -> int:
-    if args.max_loops < 2:
-        return _usage("max-loops must be >= 2")
     failed = False
     for name in ("commutative", "associative"):
         table = euler_characteristic(builtin_species(name), args.max_loops)
@@ -193,38 +191,28 @@ def _cmd_verify_bernoulli(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_oracle(args: argparse.Namespace) -> int:
-    if args.max_loops < 2:
-        return _usage("max-loops must be >= 2")
-    if args.max_loops > 3:
-        return _usage("max-loops must be <= 3 (joint enumeration budget 2e <= 12)")
-    sp, code = _load_species(args.species)
-    if sp is None:
-        return code
-    try:
-        series = all_graphs_series(sp, args.max_loops)
-        connected = connected_series(series)
-        failed = False
-        for m in range(1, args.max_loops):
-            pairs = (
-                ("all-graphs", series[m], oracle_all_graphs_coefficient(sp, m, 3 * m)),
-                ("connected", connected[m], oracle_connected_coefficient(sp, m, 3 * m)),
-            )
-            for label, pipeline, oracle in pairs:
-                ok = pipeline == oracle
-                status = "ok" if ok else "MISMATCH"
-                print(f"{label} m={m}: pipeline {pipeline} oracle {oracle} {status}")
-                failed = failed or not ok
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    sp = _species(args.species)
+    # the oracle sums come first, so an order past their budget fails
+    # before the pipeline runs; every line is built before any is printed
+    oracles = [(oracle_all_graphs_coefficient(sp, m, 3 * m),
+                oracle_connected_coefficient(sp, m, 3 * m))
+               for m in range(1, args.max_loops)]
+    series = all_graphs_series(sp, args.max_loops)
+    connected = connected_series(series)
+    lines, failed = [], False
+    for m, (all_oracle, connected_oracle) in enumerate(oracles, start=1):
+        for label, pipeline, oracle in (("all-graphs", series[m], all_oracle),
+                                        ("connected", connected[m], connected_oracle)):
+            ok = pipeline == oracle
+            status = "ok" if ok else "MISMATCH"
+            lines.append(f"{label} m={m}: pipeline {pipeline} oracle {oracle} {status}")
+            failed = failed or not ok
+    for line in lines:
+        print(line)
     return 1 if failed else 0
 
 
 def _cmd_verify_analytic(args: argparse.Namespace) -> int:
-    if not 0.0 < args.t <= 0.2:
-        return _usage("t must lie in (0, 1/5]")
-    if not 1 <= args.terms <= 5:
-        return _usage("terms must lie in 1..5")
     result = check_commutative_asymptotics(args.t, args.terms)
     print(f"t={result.t:g} terms={result.terms_used}")
     print(f"gamma expression  {result.lhs:.17g}")
@@ -236,8 +224,6 @@ def _cmd_verify_analytic(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_equality(args: argparse.Namespace) -> int:
-    if args.max_loops < 2:
-        return _usage("max-loops must be >= 2")
     assoc = euler_characteristic(builtin_species("associative"), args.max_loops)
     comm = euler_characteristic(builtin_species("commutative"), args.max_loops)
     failed = False

@@ -12,13 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .moments import build_exponent, substitute_moments
 from .series import TSeries
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .species import Species
+from .species import Species, UsageError
 
 __all__ = ["EulerTable", "all_graphs_series", "connected_series",
            "euler_characteristic"]
@@ -50,7 +47,7 @@ def all_graphs_series(species: Species, loops: int) -> TSeries:
     The result has order loops - 1 and constant term 1 (the empty graph).
     """
     if loops < 2:
-        raise ValueError("loop order must be at least 2")
+        raise UsageError("max-loops must be >= 2")
     exponent = build_exponent(species, 2 * (loops - 1))
     return substitute_moments(exponent.exp())
 

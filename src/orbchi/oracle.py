@@ -24,7 +24,7 @@ from functools import lru_cache
 from math import factorial, prod
 from typing import Callable, Iterator, Sequence
 
-from .species import Species
+from .species import Species, UsageError
 
 __all__ = [
     "iter_pairings",
@@ -70,14 +70,11 @@ def oracle_all_graphs_coefficient(sp: Species, m: int, max_e: int) -> Fraction:
     """Coefficient of t^m in the all-graphs series, by direct counting.
 
     Graphs with m = e - v exist only for m+1 <= e <= 3m, so the sum is
-    complete once max_e >= 3m.  The empty graph adds 1 at m = 0.
+    complete once max_e >= 3m.  The empty graph adds 1 at m = 0.  Cost
+    is bounded by requiring 2 * max_e <= 12.
     """
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    if max_e < 3 * m:
-        raise ValueError("incomplete sum")
     empty = Fraction(1) if m == 0 else Fraction(0)
-    return empty + _shape_sum(sp, m, lambda shape: count_pairings(sum(shape)))
+    return empty + _shape_sum(sp, m, max_e, lambda shape: count_pairings(sum(shape)))
 
 
 def oracle_connected_coefficient(sp: Species, m: int, max_e: int) -> Fraction:
@@ -86,20 +83,24 @@ def oracle_connected_coefficient(sp: Species, m: int, max_e: int) -> Fraction:
     Only pairings that connect the vertices count.  Cost is bounded by
     requiring 2 * max_e <= 12.
     """
+    return _shape_sum(sp, m, max_e, _connected_pairing_count)
+
+
+def _shape_sum(sp: Species, m: int, max_e: int,
+               pairings: Callable[[tuple[int, ...]], int]) -> Fraction:
+    """Sum of (-1)^v * #partitions * prod Q * pairings(shape) / (2e)!
+    over the block shapes of every graph with e - v = m.
+
+    The arguments are checked before any enumeration starts.
+    """
     if m < 0:
-        raise ValueError("m must be >= 0")
+        raise UsageError("m must be >= 0")
     if max_e < 3 * m:
-        raise ValueError("incomplete sum")
+        raise UsageError("incomplete sum")
     if 2 * max_e > JOINT_HALF_EDGE_LIMIT:
-        raise ValueError(
+        raise UsageError(
             f"joint enumeration budget is 2e <= {JOINT_HALF_EDGE_LIMIT}"
         )
-    return _shape_sum(sp, m, _connected_pairing_count)
-
-
-def _shape_sum(sp: Species, m: int, pairings: Callable[[tuple[int, ...]], int]) -> Fraction:
-    """Sum of (-1)^v * #partitions * prod Q * pairings(shape) / (2e)!
-    over the block shapes of every graph with e - v = m."""
     total = Fraction(0)
     for e in range(m + 1, 3 * m + 1):
         k = 2 * e

@@ -29,7 +29,17 @@ from typing import Callable, Mapping
 
 from .moments import gaussian_moment
 
-__all__ = ["Species", "BUILTIN_SPECIES", "builtin_species", "species_from_file"]
+__all__ = ["UsageError", "Species", "BUILTIN_SPECIES", "builtin_species",
+           "species_from_file"]
+
+
+class UsageError(ValueError):
+    """An argument outside the range a function accepts.
+
+    Raised for a bad request (an unknown name, a loop order or budget out
+    of range), as opposed to bad data such as a malformed species file or
+    missing coverage, which stay plain ``ValueError``.
+    """
 
 
 class Species:
@@ -89,7 +99,7 @@ def builtin_species(name: str) -> Species:
         q = BUILTIN_SPECIES[name]
     except KeyError:
         valid = ", ".join(sorted(BUILTIN_SPECIES))
-        raise ValueError(f"unknown species '{name}' (valid names: {valid})") from None
+        raise UsageError(f"unknown species '{name}' (valid names: {valid})") from None
     return Species(name, q)
 
 
@@ -112,7 +122,8 @@ def species_from_file(path: str | Path) -> Species:
         raise ValueError(f"cannot read species file '{path}': {exc}") from exc
     try:
         doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # nesting too deep for the decoder is as malformed as a syntax error
         raise ValueError(f"species file '{path}' is not valid JSON: {exc}") from exc
 
     if not isinstance(doc, dict) or not isinstance(doc.get("name"), str) \

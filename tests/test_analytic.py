@@ -9,6 +9,7 @@ from orbchi.analytic import (
     gamma_expression,
     stirling_partial_sum,
 )
+from orbchi.species import UsageError
 
 
 class TestGammaExpression:
@@ -77,11 +78,11 @@ class TestAsymptoticsCheck:
         assert not perturbed.passed
 
     def test_domain(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError, match=r"t must lie in \(0, 1/5\]"):
             check_commutative_asymptotics(0.3, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError, match="terms must lie in 1..5"):
             check_commutative_asymptotics(0.1, 6)
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError, match="terms must lie in 1..5"):
             check_commutative_asymptotics(0.1, 0)
 
     def test_normalized_residual_stays_bounded(self):

@@ -1,9 +1,11 @@
 """Unit tests for the command-line interface."""
 
 import json
+import sys
 
 import pytest
 
+import orbchi.cli
 from orbchi.cli import main
 
 
@@ -26,10 +28,17 @@ class TestCompute:
         assert code == 0
         assert out.strip() == '{"species":"chord","connected":true,"entries":{"2":"-3/8"}}'
 
-    def test_max_loops_validation(self, capsys):
-        code, _, err = run(capsys, "compute", "--species", "commutative",
-                           "--max-loops", "1")
+    @pytest.mark.parametrize("command", [
+        ("compute", "--species", "commutative"),
+        ("verify", "bernoulli"),
+        ("verify", "equality"),
+        ("verify", "oracle", "--species", "commutative"),
+    ], ids=["compute", "verify-bernoulli", "verify-equality", "verify-oracle"])
+    def test_max_loops_validation(self, capsys, command):
+        code, out, err = run(capsys, *command, "--max-loops", "1")
         assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
         assert "max-loops must be >= 2" in err
 
     def test_unknown_species(self, capsys):
@@ -78,14 +87,18 @@ class TestCompute:
     @pytest.mark.parametrize("q, decimals", [
         ("1" + "0" * 200, ["2.08333333333333e+399", "3.125e+799"]),
         ("1/1" + "0" * 400, ["-1.25e-401", "-2.08333333333333e-402"]),
+        # exact values of 3000 and 6000 digits, past str(int)'s default cap
+        ("1" + "0" * 1500, ["2.08333333333333e+2999", "3.125e+5999"]),
     ])
     def test_decimal_beyond_float_range(self, capsys, tmp_path, q, decimals):
         f = tmp_path / "extreme.json"
         f.write_text(json.dumps({"name": "extreme", "Q": {str(n): q for n in range(3, 7)}}))
+        cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
         code, out, err = run(capsys, "compute", "--species", f"file:{f}",
                              "--max-loops", "3", "--decimal")
         assert code == 0, err
         assert [line.split(" ~ ")[1] for line in out.splitlines()] == decimals
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == cap
 
     def test_json_round_trip(self, capsys):
         code, out, _ = run(capsys, "compute", "--species", "lie", "--format", "json")
@@ -116,6 +129,32 @@ class TestCompute:
         assert code == 1
         assert "cannot read species file" in err
 
+    def test_species_file_missing_before_max_loops(self, capsys, tmp_path):
+        # the species is resolved first, so the file error decides the code
+        code, out, err = run(capsys, "compute", "--species",
+                             f"file:{tmp_path / 'none.json'}", "--max-loops", "1")
+        assert code == 1
+        assert out == ""
+        assert "cannot read species file" in err
+
+    def test_species_file_too_deep(self, capsys, tmp_path):
+        f = tmp_path / "deep.json"
+        f.write_text('{"name":"x","Q":' + "[" * 100000 + "]" * 100000 + "}")
+        code, out, err = run(capsys, "compute", "--species", f"file:{f}")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "not valid JSON" in err
+
+    def test_other_exception_is_one_line_exit_1(self, capsys, monkeypatch):
+        def boom(*args, **kwargs):
+            raise ZeroDivisionError("division by zero")
+        monkeypatch.setattr(orbchi.cli, "euler_characteristic", boom)
+        code, out, err = run(capsys, "compute", "--species", "lie")
+        assert code == 1
+        assert out == ""
+        assert err == "error: division by zero\n"
+
     def test_species_file_insufficient_coverage(self, capsys, tmp_path):
         f = tmp_path / "short.json"
         f.write_text(json.dumps({"name": "short", "Q": {"3": 1, "4": 1}}))
@@ -145,9 +184,10 @@ class TestVerify:
         assert all("ok" in line for line in lines)
 
     def test_oracle_budget(self, capsys):
-        code, _, err = run(capsys, "verify", "oracle", "--species", "commutative",
-                           "--max-loops", "4")
+        code, out, err = run(capsys, "verify", "oracle", "--species", "commutative",
+                             "--max-loops", "4")
         assert code == 2
+        assert out == ""
         assert "2e <= 12" in err
 
     def test_analytic(self, capsys):
@@ -160,10 +200,15 @@ class TestVerify:
         assert code == 0
         assert "t=0.2 terms=1" in out
 
-    def test_analytic_domain_usage(self, capsys):
-        code, _, err = run(capsys, "verify", "analytic", "--t", "0.5")
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--t", "0.5", "t must lie"),
+        ("--terms", "6", "terms must lie"),
+    ], ids=["t", "terms"])
+    def test_analytic_domain_usage(self, capsys, flag, value, message):
+        code, out, err = run(capsys, "verify", "analytic", flag, value)
         assert code == 2
-        assert "t must lie" in err
+        assert out == ""
+        assert message in err
 
     def test_equality(self, capsys):
         code, out, _ = run(capsys, "verify", "equality")

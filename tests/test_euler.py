@@ -11,7 +11,7 @@ from orbchi.euler import (
     euler_characteristic,
 )
 from orbchi.series import TSeries
-from orbchi.species import Species, builtin_species
+from orbchi.species import Species, UsageError, builtin_species
 
 
 class TestEulerTable:
@@ -51,7 +51,7 @@ class TestAllGraphsSeries:
         assert g.order == 4
 
     def test_rejects_low_loops(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError, match="max-loops must be >= 2"):
             all_graphs_series(builtin_species("commutative"), 1)
 
 
@@ -91,7 +91,7 @@ class TestEulerCharacteristic:
         assert allg == F(1, 288)  # (1/12)^2 / 2 for the two-component pairs
 
     def test_rejects_low_loops(self):
-        with pytest.raises(ValueError, match="at least 2"):
+        with pytest.raises(ValueError, match="max-loops must be >= 2"):
             euler_characteristic(builtin_species("lie"), 1)
 
     def test_coverage_error_propagates(self, tmp_path):

@@ -16,7 +16,7 @@ from orbchi.oracle import (
     oracle_all_graphs_coefficient,
     oracle_connected_coefficient,
 )
-from orbchi.species import builtin_species, species_from_file
+from orbchi.species import UsageError, builtin_species, species_from_file
 
 COMM = builtin_species("commutative")
 
@@ -127,10 +127,24 @@ class TestPartitionWeights:
         f = tmp_path / "sp.json"
         f.write_text(json.dumps({"name": "x", "Q": {"3": 1, "4": 1}}))
         sp = species_from_file(f)
-        with pytest.raises(ValueError, match="n=6"):
+        with pytest.raises(ValueError, match="n=6") as excinfo:
             oracle_all_graphs_coefficient(sp, 1, 3)
+        assert not isinstance(excinfo.value, UsageError)
         with pytest.raises(ValueError, match="n=6"):
             oracle_connected_coefficient(sp, 1, 3)
+
+
+@pytest.mark.parametrize("oracle", [oracle_all_graphs_coefficient,
+                                    oracle_connected_coefficient])
+@pytest.mark.parametrize("m, max_e, message", [
+    (-1, 0, "m must be >= 0"),
+    (2, 5, "incomplete sum"),
+    (3, 9, "2e <= 12"),  # raised before enumerating the 2e = 18 pairings
+    (1, 7, "2e <= 12"),
+])
+def test_argument_checks(oracle, m, max_e, message):
+    with pytest.raises(UsageError, match=message):
+        oracle(COMM, m, max_e)
 
 
 class TestAllGraphsOracle:

@@ -6,8 +6,10 @@ from math import factorial
 
 import pytest
 
+import orbchi
 from orbchi.species import (
     BUILTIN_SPECIES,
+    UsageError,
     builtin_species,
     species_from_file,
 )
@@ -41,8 +43,13 @@ class TestBuiltins:
             assert sp.q(0) == sp.q(1) == sp.q(2) == 0
 
     def test_unknown_name_lists_valid(self):
-        with pytest.raises(ValueError, match="associative, chord, commutative, lie"):
+        with pytest.raises(UsageError, match="associative, chord, commutative, lie"):
             builtin_species("quantum")
+
+    def test_usage_error_is_exported_value_error(self):
+        assert orbchi.UsageError is UsageError
+        assert "UsageError" in orbchi.__all__
+        assert issubclass(UsageError, ValueError)
 
     def test_structure_counts_are_nonnegative_integers(self):
         for name in BUILTIN_SPECIES:
@@ -105,11 +112,16 @@ class TestSpeciesFromFile:
         with pytest.raises(ValueError, match="cannot read species file"):
             species_from_file(tmp_path / "absent.json")
 
-    def test_invalid_json(self, tmp_path):
+    @pytest.mark.parametrize("text", [
+        "{not json",
+        '{"name":"x","Q":' + "[" * 100000 + "]" * 100000 + "}",  # too deep to decode
+    ], ids=["syntax", "too-deep"])
+    def test_invalid_json(self, tmp_path, text):
         f = tmp_path / "broken.json"
-        f.write_text("{not json", encoding="utf-8")
-        with pytest.raises(ValueError, match="not valid JSON"):
+        f.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match="not valid JSON") as excinfo:
             species_from_file(f)
+        assert not isinstance(excinfo.value, UsageError)
 
     def test_wrong_shape(self, tmp_path):
         f = write_species(tmp_path, {"name": "x", "Q": [1, 2, 3]})
