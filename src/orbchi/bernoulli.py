@@ -14,11 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import TYPE_CHECKING
 
-from .euler import EulerTable
+if TYPE_CHECKING:  # pragma: no cover
+    from .euler import EulerTable
 
-__all__ = ["bernoulli_number", "bernoulli_numbers", "closed_form_table",
-           "BernoulliCheck", "verify_bernoulli"]
+__all__ = ["bernoulli_number", "bernoulli_numbers", "BernoulliCheck",
+           "verify_bernoulli"]
 
 
 def bernoulli_numbers(n_max: int) -> list[Fraction]:
@@ -37,18 +39,6 @@ def bernoulli_number(n: int) -> Fraction:
     return bernoulli_numbers(n)[n]
 
 
-def closed_form_table(loops: int) -> EulerTable:
-    """B_n / (n(n-1)) for even n, zero for odd n, as an EulerTable."""
-    if loops < 2:
-        raise ValueError("loop order must be at least 2")
-    bern = bernoulli_numbers(loops)
-    entries = {
-        n: bern[n] / (n * (n - 1)) if n % 2 == 0 else Fraction(0)
-        for n in range(2, loops + 1)
-    }
-    return EulerTable("bernoulli-closed-form", True, loops, entries)
-
-
 @dataclass(frozen=True)
 class BernoulliCheck:
     """One entry of the closed-form comparison report."""
@@ -65,11 +55,14 @@ class BernoulliCheck:
 def verify_bernoulli(table: EulerTable) -> list[BernoulliCheck]:
     """Compare a connected-graph table against the Bernoulli closed form.
 
-    Meaningful for the commutative and associative species, where equality
-    is exact at every loop order; other species are expected to fail.
+    The expected entry at n loops is B_n / (n(n-1)) for even n and zero
+    for odd n.  Meaningful for the commutative and associative species,
+    where equality is exact at every loop order; other species are
+    expected to fail.
     """
-    closed = closed_form_table(table.max_loops)
+    bern = bernoulli_numbers(table.max_loops)
     return [
-        BernoulliCheck(n, table.entries[n], closed.entries[n])
+        BernoulliCheck(n, table.entries[n],
+                       bern[n] / (n * (n - 1)) if n % 2 == 0 else Fraction(0))
         for n in range(2, table.max_loops + 1)
     ]

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import cache
 
@@ -97,28 +98,32 @@ def _species(arg: str) -> Species:
 def _cmd_compute(args: argparse.Namespace) -> int:
     table = euler_characteristic(_species(args.species), args.max_loops,
                                  connected=not args.all)
-    for line in _render(table, args.format, args.decimal):
+    with _all_digits():
+        lines = _render(table, args.format, args.decimal)
+    for line in lines:
         print(line)
     return 0
 
 
-def _render(table: EulerTable, fmt: str, decimal: bool) -> list[str]:
-    """The output lines, each exact value in full however many digits it has.
+@contextmanager
+def _all_digits():
+    """Lift Python's cap on int-to-str conversion for the block.
 
-    Python caps int-to-str conversion at 4300 digits by default (3.11+,
-    3.10.7+); the cap is lifted here only, so species-file parsing keeps it.
+    The cap is 4300 digits by default (3.11+, 3.10.7+).  Exact values are
+    printed in full however many digits they have, so only the blocks that
+    format output lift it; species-file parsing keeps it.
     """
     saved = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if saved:
         sys.set_int_max_str_digits(0)
     try:
-        return _lines(table, fmt, decimal)
+        yield
     finally:
         if saved:
             sys.set_int_max_str_digits(saved)
 
 
-def _lines(table: EulerTable, fmt: str, decimal: bool) -> list[str]:
+def _render(table: EulerTable, fmt: str, decimal: bool) -> list[str]:
     items = [(n, table.entries[n]) for n in range(2, table.max_loops + 1)]
     if fmt == "plain":
         return [f"{n}: {v}" + (f" ~ {_approx(v)}" if decimal else "")
@@ -200,13 +205,14 @@ def _cmd_verify_oracle(args: argparse.Namespace) -> int:
     series = all_graphs_series(sp, args.max_loops)
     connected = connected_series(series)
     lines, failed = [], False
-    for m, (all_oracle, connected_oracle) in enumerate(oracles, start=1):
-        for label, pipeline, oracle in (("all-graphs", series[m], all_oracle),
-                                        ("connected", connected[m], connected_oracle)):
-            ok = pipeline == oracle
-            status = "ok" if ok else "MISMATCH"
-            lines.append(f"{label} m={m}: pipeline {pipeline} oracle {oracle} {status}")
-            failed = failed or not ok
+    with _all_digits():
+        for m, (all_oracle, connected_oracle) in enumerate(oracles, start=1):
+            for label, pipeline, oracle in (("all-graphs", series[m], all_oracle),
+                                            ("connected", connected[m], connected_oracle)):
+                ok = pipeline == oracle
+                status = "ok" if ok else "MISMATCH"
+                lines.append(f"{label} m={m}: pipeline {pipeline} oracle {oracle} {status}")
+                failed = failed or not ok
     for line in lines:
         print(line)
     return 1 if failed else 0

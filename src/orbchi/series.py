@@ -24,6 +24,12 @@ power-series algebra (Knuth, TAOCP vol. 2, sec. 4.7; Flajolet and Sedgewick,
 
 Each costs O(N^2) row products for N rows.
 
+The operations are ``==``; ``+`` and ``*`` of two carriers of one kind,
+truncated to the smaller cutoff or order; ``p * c`` for an exact scalar ``c``,
+on the right only (``c * p`` is a ``TypeError``); ``exp``; ``TSeries.log``;
+and ``repr``.  Terms are read through ``BivariatePoly.items`` and
+``s_cutoff``, coefficients through ``TSeries[m]`` and ``order``.
+
 All coefficients are exact ``fractions.Fraction`` values; no floating point
 enters this module.  Values are immutable after construction and every
 operation returns a fresh object, so instances are safe to share.
@@ -88,47 +94,19 @@ class BivariatePoly:
         self._terms = clean
         self._s_cutoff = s_cutoff
 
-    @classmethod
-    def zero(cls, s_cutoff: int) -> BivariatePoly:
-        return cls({}, s_cutoff)
-
-    @classmethod
-    def one(cls, s_cutoff: int) -> BivariatePoly:
-        return cls({(0, 0): Fraction(1)}, s_cutoff)
-
     @property
     def s_cutoff(self) -> int:
         return self._s_cutoff
 
-    @property
-    def terms(self) -> dict[tuple[int, int], Fraction]:
-        """Copy of the term map; mutating it does not affect the polynomial."""
-        return dict(self._terms)
-
     def items(self) -> Iterator[tuple[tuple[int, int], Fraction]]:
         return iter(self._terms.items())
-
-    def coeff(self, s_degree: int, y_degree: int) -> Fraction:
-        """Stored coefficient of s^i y^j, or zero."""
-        return self._terms.get((s_degree, y_degree), Fraction(0))
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BivariatePoly):
             return NotImplemented
         return self._s_cutoff == other._s_cutoff and self._terms == other._terms
 
-    def __hash__(self):
-        return hash((self._s_cutoff, frozenset(self._terms.items())))
-
-    def __neg__(self) -> BivariatePoly:
-        return BivariatePoly({k: -c for k, c in self._terms.items()}, self._s_cutoff)
-
     def __add__(self, other) -> BivariatePoly:
-        if isinstance(other, (int, Fraction)):
-            other = BivariatePoly({(0, 0): _as_fraction(other)}, self._s_cutoff)
         if not isinstance(other, BivariatePoly):
             return NotImplemented
         cutoff = min(self._s_cutoff, other._s_cutoff)
@@ -137,19 +115,9 @@ class BivariatePoly:
             out[key] = out.get(key, Fraction(0)) + c
         return BivariatePoly(out, cutoff)
 
-    __radd__ = __add__
-
-    def __sub__(self, other) -> BivariatePoly:
-        if isinstance(other, (int, Fraction)):
-            return self + (-_as_fraction(other))
-        if not isinstance(other, BivariatePoly):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other) -> BivariatePoly:
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            return BivariatePoly({k: c * v for k, v in self._terms.items()}, self._s_cutoff)
+            return BivariatePoly({k: other * v for k, v in self._terms.items()}, self._s_cutoff)
         if not isinstance(other, BivariatePoly):
             return NotImplemented
         cutoff = min(self._s_cutoff, other._s_cutoff)
@@ -164,8 +132,6 @@ class BivariatePoly:
                 key = (i, j1 + j2)
                 out[key] = out.get(key, Fraction(0)) + c1 * c2
         return BivariatePoly(out, cutoff)
-
-    __rmul__ = __mul__
 
     def exp(self) -> BivariatePoly:
         """Graded exponential sum_{k} self^k / k!, truncated at the s-cutoff.
@@ -186,19 +152,6 @@ class BivariatePoly:
             self._s_cutoff,
         )
 
-    def __str__(self) -> str:
-        parts = []
-        for (i, j) in sorted(self._terms):
-            factors = []
-            if i:
-                factors.append("s" if i == 1 else f"s^{i}")
-            if j:
-                factors.append("y" if j == 1 else f"y^{j}")
-            mono = "*".join(factors)
-            c = self._terms[(i, j)]
-            parts.append(f"{c}*{mono}" if mono else f"{c}")
-        return " + ".join(parts).replace("+ -", "- ") if parts else "0"
-
     def __repr__(self) -> str:
         return f"BivariatePoly({self._terms!r}, s_cutoff={self._s_cutoff})"
 
@@ -214,21 +167,9 @@ class TSeries:
             raise ValueError("a truncated series needs at least the constant term")
         self._coeffs = cs
 
-    @classmethod
-    def zero(cls, order: int) -> TSeries:
-        return cls([Fraction(0)] * (order + 1))
-
-    @classmethod
-    def one(cls, order: int) -> TSeries:
-        return cls([Fraction(1)] + [Fraction(0)] * order)
-
     @property
     def order(self) -> int:
         return len(self._coeffs) - 1
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
 
     def __getitem__(self, degree: int) -> Fraction:
         if not 0 <= degree <= self.order:
@@ -240,41 +181,18 @@ class TSeries:
             return NotImplemented
         return self._coeffs == other._coeffs
 
-    def __hash__(self):
-        return hash(self._coeffs)
-
-    def __neg__(self) -> TSeries:
-        return TSeries(tuple(-c for c in self._coeffs))
-
-    def _zip(self, other: TSeries) -> int:
-        # binary ops truncate to the smaller order
-        return min(self.order, other.order)
-
     def __add__(self, other) -> TSeries:
-        if isinstance(other, (int, Fraction)):
-            head = (self._coeffs[0] + _as_fraction(other),)
-            return TSeries(head + self._coeffs[1:])
         if not isinstance(other, TSeries):
             return NotImplemented
-        n = self._zip(other)
+        n = min(self.order, other.order)
         return TSeries(tuple(self._coeffs[m] + other._coeffs[m] for m in range(n + 1)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> TSeries:
-        if isinstance(other, (int, Fraction)):
-            return self + (-_as_fraction(other))
-        if not isinstance(other, TSeries):
-            return NotImplemented
-        return self + (-other)
 
     def __mul__(self, other) -> TSeries:
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            return TSeries(tuple(c * v for v in self._coeffs))
+            return TSeries(tuple(other * v for v in self._coeffs))
         if not isinstance(other, TSeries):
             return NotImplemented
-        n = self._zip(other)
+        n = min(self.order, other.order)
         out = [Fraction(0)] * (n + 1)
         for p, a in enumerate(self._coeffs[: n + 1]):
             if not a:
@@ -284,8 +202,6 @@ class TSeries:
                 if b:
                     out[p + q] += a * b
         return TSeries(out)
-
-    __rmul__ = __mul__
 
     def log(self) -> TSeries:
         """sum_{k>=1} (-1)^(k+1) (self - 1)^k / k, truncated at the order.
@@ -317,15 +233,6 @@ class TSeries:
             raise ValueError("exponential requires zero constant term")
         h = _exp_rows([{0: c} if c else {} for c in self._coeffs])
         return TSeries(row.get(0, Fraction(0)) for row in h)
-
-    def __str__(self) -> str:
-        parts = []
-        for m, c in enumerate(self._coeffs):
-            if not c:
-                continue
-            mono = "" if m == 0 else ("t" if m == 1 else f"t^{m}")
-            parts.append(f"{c}*{mono}" if mono else f"{c}")
-        return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
     def __repr__(self) -> str:
         return f"TSeries({list(self._coeffs)!r})"

@@ -112,8 +112,8 @@ def species_from_file(path: str | Path) -> Species:
 
     ``Q`` maps the valence n (as a decimal string) to the structure count
     Q_n, either an integer or a rational written ``"p/q"``.  The valences
-    must cover 3..max without gaps; entries below 3 are only accepted when
-    they are zero.
+    must cover 3..max without gaps, each named by one key only; entries
+    below 3 are only accepted when they are zero.
     """
     path = Path(path)
     try:
@@ -134,11 +134,15 @@ def species_from_file(path: str | Path) -> Species:
         )
 
     counts: dict[int, Fraction] = {}
+    seen: set[int] = set()
     for key, value in doc["Q"].items():
         try:
             n = int(key)
         except ValueError:
             raise ValueError(f"species file '{path}': non-integer valence key '{key}'") from None
+        if n in seen:
+            raise ValueError(f"species file '{path}': valence {n} given twice (key '{key}')")
+        seen.add(n)
         count = _parse_count(path, n, value)
         if n < 3:
             if count != 0:

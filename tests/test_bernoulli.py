@@ -4,12 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from orbchi.bernoulli import (
-    bernoulli_number,
-    bernoulli_numbers,
-    closed_form_table,
-    verify_bernoulli,
-)
+from orbchi.bernoulli import bernoulli_number, bernoulli_numbers, verify_bernoulli
 from orbchi.euler import euler_characteristic
 from orbchi.species import builtin_species
 
@@ -46,18 +41,15 @@ class TestBernoulliNumbers:
 
 class TestClosedFormTable:
     def test_small_values(self):
-        t = closed_form_table(6)
-        assert t.entries == {
+        # the expected column depends on the loop order only, not the species
+        checks = verify_bernoulli(euler_characteristic(builtin_species("lie"), 6))
+        assert {c.loops: c.expected for c in checks} == {
             2: F(1, 12),   # B_2 / 2
             3: F(0),
             4: F(-1, 360),  # B_4 / 12
             5: F(0),
             6: F(1, 1260),  # B_6 / 30
         }
-
-    def test_rejects_low_loops(self):
-        with pytest.raises(ValueError):
-            closed_form_table(1)
 
 
 class TestVerifyBernoulli:

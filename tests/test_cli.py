@@ -163,6 +163,15 @@ class TestCompute:
         assert code == 1
         assert "n=6" in err
 
+    def test_species_file_repeated_valence(self, capsys, tmp_path):
+        f = tmp_path / "twice.json"
+        f.write_text('{"name": "twice", "Q": {"3": 1, "03": 5, "4": 0}}')
+        code, out, err = run(capsys, "compute", "--species", f"file:{f}")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "valence 3 given twice" in err
+
     def test_usage_error_from_argparse(self, capsys):
         code = main(["compute"])  # --species is required
         assert code == 2
@@ -182,6 +191,21 @@ class TestVerify:
         lines = out.splitlines()
         assert len(lines) == 4  # all-graphs and connected at m = 1, 2
         assert all("ok" in line for line in lines)
+
+    def test_oracle_beyond_str_digit_cap(self, capsys, tmp_path):
+        # exact values of 5000 and 10000 digits, past str(int)'s default cap
+        f = tmp_path / "huge.json"
+        f.write_text(json.dumps({"name": "huge",
+                                 "Q": {str(n): "1" + "0" * 2500 for n in range(3, 13)}}))
+        cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, out, err = run(capsys, "verify", "oracle", "--species", f"file:{f}",
+                             "--max-loops", "3")
+        assert code == 0, err
+        assert err == ""
+        lines = out.splitlines()
+        assert len(lines) == 4
+        assert all(line.endswith(" ok") for line in lines)
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == cap
 
     def test_oracle_budget(self, capsys):
         code, out, err = run(capsys, "verify", "oracle", "--species", "commutative",

@@ -42,15 +42,15 @@ class TestGaussianMoment:
 class TestBuildExponent:
     def test_commutative_small(self):
         e = build_exponent(builtin_species("commutative"), 2)
-        assert e.terms == {(1, 3): F(-1, 6), (2, 4): F(-1, 24)}
+        assert dict(e.items()) == {(1, 3): F(-1, 6), (2, 4): F(-1, 24)}
 
     def test_chord_small(self):
         e = build_exponent(builtin_species("chord"), 2)
-        assert e.terms == {(2, 4): F(-1, 8)}
+        assert dict(e.items()) == {(2, 4): F(-1, 8)}
 
     def test_cutoff_zero(self):
         e = build_exponent(builtin_species("lie"), 0)
-        assert e == BivariatePoly.zero(0)
+        assert e == BivariatePoly({}, 0)
 
     def test_coverage_error_names_required_n(self, tmp_path):
         from orbchi.species import species_from_file
@@ -65,7 +65,7 @@ class TestBuildExponent:
 class TestExpandH:
     def test_commutative_hand_expansion(self):
         h = build_exponent(builtin_species("commutative"), 2).exp()
-        assert h.terms == {
+        assert dict(h.items()) == {
             (0, 0): F(1),
             (1, 3): F(-1, 6),
             (2, 4): F(-1, 24),
@@ -73,11 +73,11 @@ class TestExpandH:
         }
 
     def test_zero_exponent(self):
-        assert BivariatePoly.zero(4).exp() == BivariatePoly.one(4)
+        assert BivariatePoly({}, 4).exp() == BivariatePoly({(0, 0): 1}, 4)
 
     def test_chord_single_term(self):
         h = build_exponent(builtin_species("chord"), 2).exp()
-        assert h.terms == {(0, 0): F(1), (2, 4): F(-1, 8)}
+        assert dict(h.items()) == {(0, 0): F(1), (2, 4): F(-1, 8)}
 
     def test_against_sympy_expansion(self):
         # independent engine: series-expand exp of the same exponent
@@ -95,7 +95,7 @@ class TestExpandH:
             (int(i), int(j)): F(*sympy.fraction(c))
             for (i, j), c in zip(poly.monoms(), poly.coeffs())
         }
-        assert mine.terms == theirs
+        assert dict(mine.items()) == theirs
 
     @pytest.mark.parametrize("name", ["commutative", "associative", "lie", "chord"])
     def test_y_degree_band(self, name):
@@ -121,11 +121,11 @@ class TestSubstituteMoments:
         assert substitute_moments(h) == TSeries([1, F(-3, 8)])
 
     def test_constant_one(self):
-        assert substitute_moments(BivariatePoly.one(0)) == TSeries([1])
+        assert substitute_moments(BivariatePoly({(0, 0): 1}, 0)) == TSeries([1])
 
     def test_odd_cutoff_rejected(self):
         with pytest.raises(ValueError, match="even s_cutoff"):
-            substitute_moments(BivariatePoly.one(3))
+            substitute_moments(BivariatePoly({(0, 0): 1}, 3))
 
     def test_surviving_odd_s_degree_rejected(self):
         p = BivariatePoly({(1, 4): F(1)}, 2)

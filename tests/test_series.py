@@ -15,12 +15,11 @@ def bp(terms, cutoff):
 class TestBivariatePolyBasics:
     def test_zero_coefficients_dropped(self):
         p = bp({(1, 1): 0, (2, 2): F(1, 2)}, 4)
-        assert (1, 1) not in p.terms
-        assert p.coeff(2, 2) == F(1, 2)
+        assert dict(p.items()) == {(2, 2): F(1, 2)}
 
     def test_terms_above_cutoff_dropped(self):
         p = bp({(5, 1): 7, (1, 1): 1}, 3)
-        assert p.terms == {(1, 1): F(1)}
+        assert dict(p.items()) == {(1, 1): F(1)}
 
     def test_negative_cutoff_rejected(self):
         with pytest.raises(ValueError):
@@ -30,59 +29,53 @@ class TestBivariatePolyBasics:
         with pytest.raises(ValueError):
             bp({(-1, 2): 1}, 3)
 
-    def test_coeff_present(self):
-        p = bp({(0, 0): 1, (1, 1): 1}, 2)
-        assert p.coeff(1, 1) == 1
-
-    def test_coeff_absent_is_zero(self):
-        p = bp({(0, 0): 1, (1, 1): 1}, 2)
-        assert p.coeff(2, 0) == 0
-
-    def test_coeff_fractional(self):
-        p = bp({(2, 6): F(1, 72)}, 2)
-        assert p.coeff(2, 6) == F(1, 72)
-
 
 class TestBivariatePolyArithmetic:
     def test_mul_simple(self):
         sy = bp({(1, 1): 1}, 2)
-        assert (sy * sy).terms == {(2, 2): F(1)}
+        assert dict((sy * sy).items()) == {(2, 2): F(1)}
 
     def test_mul_truncates(self):
         sy = bp({(1, 1): 1}, 1)
-        assert (sy * sy).terms == {}
+        assert dict((sy * sy).items()) == {}
 
     def test_difference_of_squares(self):
         a = bp({(0, 0): 1, (1, 3): 1}, 2)
         b = bp({(0, 0): 1, (1, 3): -1}, 2)
-        assert (a * b).terms == {(0, 0): F(1), (2, 6): F(-1)}
+        assert dict((a * b).items()) == {(0, 0): F(1), (2, 6): F(-1)}
 
     def test_one_is_identity(self):
         p = bp({(1, 3): F(-1, 6), (2, 4): F(-1, 24)}, 2)
-        assert BivariatePoly.one(2) * p == p
+        assert bp({(0, 0): 1}, 2) * p == p
 
     def test_mul_mixed_cutoffs_takes_min(self):
         a = bp({(2, 0): 1}, 4)
         b = bp({(1, 0): 1}, 2)
         assert (a * b).s_cutoff == 2
-        assert (a * b).terms == {}
+        assert dict((a * b).items()) == {}
 
     def test_add_sub_scale(self):
         p = bp({(1, 1): F(1, 2)}, 3)
-        q = bp({(1, 1): F(1, 2), (2, 2): 1}, 3)
+        q = bp({(1, 1): F(-1, 2), (2, 2): 1}, 3)
         assert (p + p) == bp({(1, 1): 1}, 3)
-        assert (q - p).terms == {(2, 2): F(1)}
-        assert (p * F(4)).terms == {(1, 1): F(2)}
+        assert p + q == bp({(2, 2): 1}, 3)
+        assert dict((p * F(4)).items()) == {(1, 1): F(2)}
+
+    @pytest.mark.parametrize("scalar", [2, F(2)])
+    def test_scalar_multiplies_on_the_right_only(self, scalar):
+        for carrier in (bp({(1, 1): 1}, 3), TSeries([1, 1])):
+            with pytest.raises(TypeError):
+                scalar * carrier
 
 
 class TestGradedExp:
     def test_exp_sy(self):
         e = bp({(1, 1): 1}, 2)
-        assert e.exp().terms == {(0, 0): F(1), (1, 1): F(1), (2, 2): F(1, 2)}
+        assert dict(e.exp().items()) == {(0, 0): F(1), (1, 1): F(1), (2, 2): F(1, 2)}
 
     def test_exp_hand_expansion(self):
         e = bp({(1, 3): F(-1, 6), (2, 4): F(-1, 24)}, 2)
-        assert e.exp().terms == {
+        assert dict(e.exp().items()) == {
             (0, 0): F(1),
             (1, 3): F(-1, 6),
             (2, 4): F(-1, 24),
@@ -90,7 +83,7 @@ class TestGradedExp:
         }
 
     def test_exp_zero(self):
-        assert BivariatePoly.zero(3).exp() == BivariatePoly.one(3)
+        assert bp({}, 3).exp() == bp({(0, 0): 1}, 3)
 
     def test_exp_rejects_constant_term(self):
         e = bp({(0, 0): 1, (1, 1): 1}, 2)
@@ -130,9 +123,9 @@ def power_sum_exp(e, one, terms):
 
 
 def power_sum_log(g):
-    u = g - 1
-    acc = TSeries.zero(g.order)
-    power = TSeries.one(g.order)
+    u = g + TSeries([-1] + [0] * g.order)
+    acc = TSeries([0] * (g.order + 1))
+    power = TSeries([1] + [0] * g.order)
     for k in range(1, g.order + 1):
         power = power * u
         acc = acc + power * F((-1) ** (k + 1), k)
@@ -142,11 +135,11 @@ def power_sum_log(g):
 class TestSeriesProperties:
     @given(st.integers(1, 8).flatmap(graded_polys))
     def test_bivariate_exp_matches_power_sum(self, e):
-        assert e.exp() == power_sum_exp(e, BivariatePoly.one(e.s_cutoff), e.s_cutoff)
+        assert e.exp() == power_sum_exp(e, bp({(0, 0): 1}, e.s_cutoff), e.s_cutoff)
 
     @given(tseries(0))
     def test_tseries_exp_matches_power_sum(self, c):
-        assert c.exp() == power_sum_exp(c, TSeries.one(c.order), c.order)
+        assert c.exp() == power_sum_exp(c, TSeries([1] + [0] * c.order), c.order)
 
     @given(tseries(1))
     def test_tseries_log_matches_power_sum(self, g):
@@ -178,7 +171,7 @@ class TestTSeries:
         assert g.log() == TSeries([0, 1, F(-1, 2), F(1, 3)])
 
     def test_log_of_one(self):
-        assert TSeries.one(3).log() == TSeries.zero(3)
+        assert TSeries([1, 0, 0, 0]).log() == TSeries([0, 0, 0, 0])
 
     def test_log_inverts_exp(self):
         c = TSeries([0, 1, 1, 0, 0])
@@ -203,7 +196,7 @@ class TestTSeries:
         a = TSeries([1, 1, 1, 1])
         b = TSeries([1, 2])
         assert (a + b).order == 1
-        assert (a * b).coeffs == (F(1), F(3))
+        assert a * b == TSeries([1, 3])
 
     def test_needs_constant_term(self):
         with pytest.raises(ValueError):

@@ -133,6 +133,17 @@ class TestSpeciesFromFile:
         with pytest.raises(ValueError, match="non-integer valence key"):
             species_from_file(f)
 
+    @pytest.mark.parametrize("q", [
+        {"3": 1, "03": 5, "4": 0},
+        {"2": 0, " 2": 0, "3": 1},
+    ], ids=["leading-zero", "below-three"])
+    def test_repeated_valence_rejected(self, tmp_path, q):
+        f = write_species(tmp_path, {"name": "x", "Q": q})
+        with pytest.raises(ValueError, match="valence [23] given twice") as excinfo:
+            species_from_file(f)
+        assert not isinstance(excinfo.value, UsageError)
+        assert len(str(excinfo.value).splitlines()) == 1
+
     def test_bad_count_value(self, tmp_path):
         f = write_species(tmp_path, {"name": "x", "Q": {"3": 1.5}})
         with pytest.raises(ValueError, match="integer or 'p/q'"):
