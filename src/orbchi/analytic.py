@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bernoulli import bernoulli_number, bernoulli_numbers
+from .bernoulli import bernoulli_numbers
 from .species import UsageError
 
 __all__ = ["AsymptoticResidual", "gamma_expression", "stirling_partial_sum",
@@ -74,6 +74,6 @@ def check_commutative_asymptotics(t: float, terms: int) -> AsymptoticResidual:
         raise UsageError("terms must lie in 1..5")
     lhs = gamma_expression(t)
     rhs = stirling_partial_sum(t, terms)
-    next_coeff = bernoulli_number(2 * terms + 2) / ((2 * terms + 2) * (2 * terms + 1))
+    next_coeff = bernoulli_numbers(2 * terms + 2)[-1] / ((2 * terms + 2) * (2 * terms + 1))
     bound = abs(float(next_coeff)) * t ** (2 * terms + 1)
     return AsymptoticResidual(t, terms, lhs, rhs, abs(lhs - rhs), bound)

@@ -19,8 +19,7 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover
     from .euler import EulerTable
 
-__all__ = ["bernoulli_number", "bernoulli_numbers", "BernoulliCheck",
-           "verify_bernoulli"]
+__all__ = ["bernoulli_numbers", "BernoulliCheck", "verify_bernoulli"]
 
 
 def bernoulli_numbers(n_max: int) -> list[Fraction]:
@@ -33,10 +32,6 @@ def bernoulli_numbers(n_max: int) -> list[Fraction]:
         acc = sum(comb(n + 1, k) * values[k] for k in range(n))
         values.append(Fraction(-acc, n + 1))
     return values
-
-
-def bernoulli_number(n: int) -> Fraction:
-    return bernoulli_numbers(n)[n]
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,10 @@ from .species import Species, UsageError
 __all__ = ["EulerTable", "all_graphs_series", "connected_series",
            "euler_characteristic"]
 
+# The largest loop order accepted: the cost grows about as loops^4, so a
+# 1000-loop table would take days.
+MAX_LOOPS = 1000
+
 
 @dataclass(frozen=True)
 class EulerTable:
@@ -44,10 +48,13 @@ class EulerTable:
 def all_graphs_series(species: Species, loops: int) -> TSeries:
     """Signed weighted count of all graphs, graded by m = edges - vertices.
 
-    The result has order loops - 1 and constant term 1 (the empty graph).
+    The result has order loops - 1 and constant term 1 (the empty graph);
+    loops must lie in 2..MAX_LOOPS.
     """
     if loops < 2:
         raise UsageError("max-loops must be >= 2")
+    if loops > MAX_LOOPS:
+        raise UsageError(f"max-loops must be <= {MAX_LOOPS}")
     exponent = build_exponent(species, 2 * (loops - 1))
     return substitute_moments(exponent.exp())
 

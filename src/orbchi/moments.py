@@ -67,12 +67,15 @@ def substitute_moments(p: BivariatePoly) -> TSeries:
     """
     if p.s_cutoff % 2:
         raise ValueError("moment substitution needs an even s_cutoff")
+    terms = list(p.items())
+    ch = [1, 0]  # Ch_j for every y-degree present, by Ch_j = (j-1) Ch_{j-2}
+    for j in range(2, max((y for (_, y), _ in terms), default=0) + 1):
+        ch.append((j - 1) * ch[j - 2])
     out = [Fraction(0)] * (p.s_cutoff // 2 + 1)
-    for (i, j), c in p.items():
-        ch = gaussian_moment(j)
-        if not ch:
+    for (i, j), c in terms:
+        if not ch[j]:
             continue
         if i % 2:
             raise ValueError("half-integer power of t")
-        out[i // 2] += c * ch
+        out[i // 2] += c * ch[j]
     return TSeries(out)

@@ -3,10 +3,11 @@
 Two carriers cover everything the Euler-characteristic pipeline needs:
 
 ``BivariatePoly``
-    a polynomial in the formal variables ``s`` and ``y``, stored sparsely as a
-    map from exponent pairs ``(s_degree, y_degree)`` to ``Fraction``, truncated
-    at a fixed maximum ``s``-degree.  The ``y``-degree is never truncated; all
-    inputs produced by the pipeline keep it finitely bounded per ``s``-degree.
+    a polynomial in the formal variables ``s`` and ``y``, truncated at a fixed
+    maximum ``s``-degree and stored as its s-rows: one sparse map from
+    ``y``-degree to nonzero ``Fraction`` per ``s``-degree 0..s_cutoff.  The
+    ``y``-degree is never truncated; all inputs produced by the pipeline keep
+    it finitely bounded per ``s``-degree.
 
 ``TSeries``
     a truncated univariate power series in ``t`` with rational coefficients,
@@ -51,6 +52,14 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
+def _add_product(acc, r1, r2) -> None:
+    """acc += r1 * r2, for rows that map a y-degree to a coefficient."""
+    for j1, c1 in r1.items():
+        for j2, c2 in r2.items():
+            j = j1 + j2
+            acc[j] = acc.get(j, 0) + c1 * c2
+
+
 def _exp_rows(rows: list[dict[int, Fraction]]) -> list[dict[int, Fraction]]:
     """Rows h_0..h_N of H = exp(E), from the rows e_0..e_N of E.
 
@@ -62,11 +71,7 @@ def _exp_rows(rows: list[dict[int, Fraction]]) -> list[dict[int, Fraction]]:
     for i in range(1, len(rows)):
         acc: dict[int, Fraction] = {}
         for k in range(1, i + 1):
-            prev = h[i - k]
-            for j1, c1 in scaled[k].items():
-                for j2, c2 in prev.items():
-                    j = j1 + j2
-                    acc[j] = acc.get(j, 0) + c1 * c2
+            _add_product(acc, scaled[k], h[i - k])
         h.append({j: c / i for j, c in acc.items() if c})
     return h
 
@@ -74,86 +79,80 @@ def _exp_rows(rows: list[dict[int, Fraction]]) -> list[dict[int, Fraction]]:
 class BivariatePoly:
     """Sparse polynomial in (s, y), truncated above a fixed s-degree.
 
-    Zero coefficients are never stored, and no stored term exceeds the
-    ``s_cutoff``.  Binary operations truncate to the smaller cutoff of the
-    two operands.
+    Stored as s-rows: row i maps a y-degree j to the nonzero coefficient of
+    s^i y^j, for i = 0..s_cutoff.  Binary operations pair rows by s-degree
+    and truncate to the smaller cutoff of the two operands.
     """
 
-    __slots__ = ("_terms", "_s_cutoff")
+    __slots__ = ("_rows",)
 
     def __init__(self, terms: Mapping[tuple[int, int], Fraction | int], s_cutoff: int):
         if s_cutoff < 0:
             raise ValueError("s_cutoff must be nonnegative")
-        clean: dict[tuple[int, int], Fraction] = {}
+        rows: list[dict[int, Fraction]] = [{} for _ in range(s_cutoff + 1)]
         for (i, j), c in terms.items():
             if i < 0 or j < 0:
                 raise ValueError(f"negative exponent in term ({i}, {j})")
             coeff = _as_fraction(c)
             if coeff and i <= s_cutoff:
-                clean[(i, j)] = coeff
-        self._terms = clean
-        self._s_cutoff = s_cutoff
+                rows[i][j] = coeff
+        self._rows = rows
+
+    @classmethod
+    def _from_rows(cls, rows: list[dict[int, Fraction]]) -> BivariatePoly:
+        """Wrap rows that hold no zero coefficient, without copying them."""
+        p = cls.__new__(cls)
+        p._rows = rows
+        return p
 
     @property
     def s_cutoff(self) -> int:
-        return self._s_cutoff
+        return len(self._rows) - 1
 
     def items(self) -> Iterator[tuple[tuple[int, int], Fraction]]:
-        return iter(self._terms.items())
+        return (((i, j), c) for i, row in enumerate(self._rows) for j, c in row.items())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BivariatePoly):
             return NotImplemented
-        return self._s_cutoff == other._s_cutoff and self._terms == other._terms
+        return self._rows == other._rows
 
     def __add__(self, other) -> BivariatePoly:
         if not isinstance(other, BivariatePoly):
             return NotImplemented
-        cutoff = min(self._s_cutoff, other._s_cutoff)
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            out[key] = out.get(key, Fraction(0)) + c
-        return BivariatePoly(out, cutoff)
+        rows = [dict(row) for row in self._rows[: len(other._rows)]]
+        for acc, row in zip(rows, other._rows):
+            for j, c in row.items():
+                acc[j] = acc.get(j, 0) + c
+        return BivariatePoly._from_rows([{j: c for j, c in r.items() if c} for r in rows])
 
     def __mul__(self, other) -> BivariatePoly:
         if isinstance(other, (int, Fraction)):
-            return BivariatePoly({k: other * v for k, v in self._terms.items()}, self._s_cutoff)
-        if not isinstance(other, BivariatePoly):
+            rows = [{j: other * c for j, c in row.items()} for row in self._rows]
+        elif isinstance(other, BivariatePoly):
+            n = min(len(self._rows), len(other._rows))
+            rows = [{} for _ in range(n)]
+            for i1, r1 in enumerate(self._rows[:n]):
+                for i2, r2 in enumerate(other._rows[: n - i1]):
+                    _add_product(rows[i1 + i2], r1, r2)
+        else:
             return NotImplemented
-        cutoff = min(self._s_cutoff, other._s_cutoff)
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i1, j1), c1 in self._terms.items():
-            if i1 > cutoff:
-                continue
-            for (i2, j2), c2 in other._terms.items():
-                i = i1 + i2
-                if i > cutoff:
-                    continue
-                key = (i, j1 + j2)
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return BivariatePoly(out, cutoff)
+        return BivariatePoly._from_rows([{j: c for j, c in r.items() if c} for r in rows])
 
     def exp(self) -> BivariatePoly:
         """Graded exponential sum_{k} self^k / k!, truncated at the s-cutoff.
 
         Requires every term to have s-degree >= 1 (in particular no constant
         term), which makes each coefficient of the result a finite sum: the
-        k-th power only reaches s-degrees >= k.  Computed row by row in s
-        with the recurrence i h_i = sum_k (k e_k) h_{i-k} (``_exp_rows``).
+        k-th power only reaches s-degrees >= k.  ``_exp_rows`` runs the
+        recurrence i h_i = sum_k (k e_k) h_{i-k} on the carrier's own rows.
         """
-        if any(i == 0 for (i, _) in self._terms):
+        if self._rows[0]:
             raise ValueError("exponential not graded-finite")
-        rows: list[dict[int, Fraction]] = [{} for _ in range(self._s_cutoff + 1)]
-        for (i, j), c in self._terms.items():
-            rows[i][j] = c
-        h = _exp_rows(rows)
-        return BivariatePoly(
-            {(i, j): c for i, row in enumerate(h) for j, c in row.items()},
-            self._s_cutoff,
-        )
+        return BivariatePoly._from_rows(_exp_rows(self._rows))
 
     def __repr__(self) -> str:
-        return f"BivariatePoly({self._terms!r}, s_cutoff={self._s_cutoff})"
+        return f"BivariatePoly({dict(self.items())!r}, s_cutoff={self.s_cutoff})"
 
 
 class TSeries:

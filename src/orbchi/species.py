@@ -113,15 +113,25 @@ def species_from_file(path: str | Path) -> Species:
     ``Q`` maps the valence n (as a decimal string) to the structure count
     Q_n, either an integer or a rational written ``"p/q"``.  The valences
     must cover 3..max without gaps, each named by one key only; entries
-    below 3 are only accepted when they are zero.
+    below 3 are only accepted when they are zero.  No object in the file
+    may repeat a key.
     """
     path = Path(path)
     try:
         raw = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ValueError(f"cannot read species file '{path}': {exc}") from exc
+
+    def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+        doc = {}
+        for key, value in pairs:
+            if key in doc:
+                raise ValueError(f"species file '{path}': key {key!r} given twice")
+            doc[key] = value
+        return doc
+
     try:
-        doc = json.loads(raw)
+        doc = json.loads(raw, object_pairs_hook=unique_keys)
     except (json.JSONDecodeError, RecursionError) as exc:
         # nesting too deep for the decoder is as malformed as a syntax error
         raise ValueError(f"species file '{path}' is not valid JSON: {exc}") from exc

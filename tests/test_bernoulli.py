@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from orbchi.bernoulli import bernoulli_number, bernoulli_numbers, verify_bernoulli
+from orbchi.bernoulli import bernoulli_numbers, verify_bernoulli
 from orbchi.euler import euler_characteristic
 from orbchi.species import builtin_species
 
@@ -20,8 +20,8 @@ class TestBernoulliNumbers:
         assert bernoulli_numbers(12) == KNOWN
 
     def test_single_lookup(self):
-        assert bernoulli_number(1) == F(-1, 2)
-        assert bernoulli_number(22) == F(854513, 138)
+        assert bernoulli_numbers(1)[1] == F(-1, 2)
+        assert bernoulli_numbers(22)[22] == F(854513, 138)
 
     def test_odd_vanish_beyond_one(self):
         values = bernoulli_numbers(21)

@@ -41,6 +41,18 @@ class TestCompute:
         assert len(err.splitlines()) == 1
         assert "max-loops must be >= 2" in err
 
+    @pytest.mark.parametrize("command", [
+        ("compute", "--species", "commutative"),
+        ("verify", "bernoulli"),
+        ("verify", "equality"),
+    ], ids=["compute", "verify-bernoulli", "verify-equality"])
+    def test_max_loops_ceiling(self, capsys, command):
+        code, out, err = run(capsys, *command, "--max-loops", "100000")
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "max-loops must be <= 1000" in err
+
     def test_unknown_species(self, capsys):
         code, _, err = run(capsys, "compute", "--species", "nope")
         assert code == 2
@@ -165,12 +177,18 @@ class TestCompute:
 
     def test_species_file_repeated_valence(self, capsys, tmp_path):
         f = tmp_path / "twice.json"
-        f.write_text('{"name": "twice", "Q": {"3": 1, "03": 5, "4": 0}}')
-        code, out, err = run(capsys, "compute", "--species", f"file:{f}")
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error: ") and len(err.splitlines()) == 1
-        assert "valence 3 given twice" in err
+        for text, message in [
+            ('{"name": "twice", "Q": {"3": 1, "03": 5, "4": 0}}', "valence 3 given twice"),
+            ('{"name": "dup", "Q": {"3": 1, "3": 5, "4": 0}}', "key '3' given twice"),
+            ('{"name": "a", "name": "b", "Q": {"3": 1}}', "key 'name' given twice"),
+        ]:
+            f.write_text(text)
+            code, out, err = run(capsys, "compute", "--species", f"file:{f}",
+                                 "--max-loops", "2")
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error: ") and len(err.splitlines()) == 1
+            assert message in err
 
     def test_usage_error_from_argparse(self, capsys):
         code = main(["compute"])  # --species is required

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from orbchi.euler import (
+    MAX_LOOPS,
     EulerTable,
     all_graphs_series,
     connected_series,
@@ -53,6 +54,11 @@ class TestAllGraphsSeries:
     def test_rejects_low_loops(self):
         with pytest.raises(UsageError, match="max-loops must be >= 2"):
             all_graphs_series(builtin_species("commutative"), 1)
+
+    def test_rejects_loops_past_ceiling(self):
+        assert MAX_LOOPS == 1000
+        with pytest.raises(UsageError, match="max-loops must be <= 1000"):
+            all_graphs_series(builtin_species("commutative"), MAX_LOOPS + 1)
 
 
 class TestConnectedSeries:

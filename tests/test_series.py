@@ -54,6 +54,13 @@ class TestBivariatePolyArithmetic:
         assert (a * b).s_cutoff == 2
         assert dict((a * b).items()) == {}
 
+    def test_add_mixed_cutoffs_takes_min(self):
+        a = bp({(1, 1): 1, (3, 1): 2, (4, 0): 5}, 4)
+        b = bp({(1, 1): F(1, 2), (2, 0): -1}, 2)
+        for total in (a + b, b + a):
+            assert total.s_cutoff == 2
+            assert dict(total.items()) == {(1, 1): F(3, 2), (2, 0): F(-1)}
+
     def test_add_sub_scale(self):
         p = bp({(1, 1): F(1, 2)}, 3)
         q = bp({(1, 1): F(-1, 2), (2, 2): 1}, 3)

@@ -133,13 +133,16 @@ class TestSpeciesFromFile:
         with pytest.raises(ValueError, match="non-integer valence key"):
             species_from_file(f)
 
-    @pytest.mark.parametrize("q", [
-        {"3": 1, "03": 5, "4": 0},
-        {"2": 0, " 2": 0, "3": 1},
-    ], ids=["leading-zero", "below-three"])
-    def test_repeated_valence_rejected(self, tmp_path, q):
-        f = write_species(tmp_path, {"name": "x", "Q": q})
-        with pytest.raises(ValueError, match="valence [23] given twice") as excinfo:
+    @pytest.mark.parametrize("text, message", [
+        ('{"name": "x", "Q": {"3": 1, "03": 5, "4": 0}}', "valence 3 given twice"),
+        ('{"name": "x", "Q": {"2": 0, " 2": 0, "3": 1}}', "valence 2 given twice"),
+        ('{"name": "x", "Q": {"3": 1, "3": 5, "4": 0}}', "key '3' given twice"),
+        ('{"name": "x", "name": "y", "Q": {"3": 1}}', "key 'name' given twice"),
+    ], ids=["leading-zero", "below-three", "verbatim-valence", "verbatim-name"])
+    def test_repeated_valence_rejected(self, tmp_path, text, message):
+        f = tmp_path / "twice.json"
+        f.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=message) as excinfo:
             species_from_file(f)
         assert not isinstance(excinfo.value, UsageError)
         assert len(str(excinfo.value).splitlines()) == 1
