@@ -8,8 +8,9 @@ formula, weighs each labeled graph by 1/(2e)!, and adds everything up.
 The two must agree coefficient by coefficient.
 
 Connected counting is the interesting case, because it tests the
-logarithm step: log(all-graphs series) = connected series.  There a
-disjoint-set filter keeps only the pairings that connect the vertices.
+logarithm step: log(all-graphs series) = connected series.  There the
+pairing walk carries the component of each vertex down to every
+finished pairing and keeps only those that leave one component.
 """
 
 import time

@@ -1,7 +1,9 @@
 """Command-line interface: compute Euler characteristic tables, run checks.
 
 Exit codes: 0 success / all checks pass, 1 computation error or failed
-check, 2 usage error.  The handlers hold no range checks and catch
+check, 2 usage error.  Each handler builds its whole output and returns
+it with whether every check passed; ``main`` alone prints it and maps
+the result to an exit code.  The handlers hold no range checks and catch
 nothing: the library's own checks decide, raising ``UsageError`` for a
 request out of range, and ``main`` alone maps an exception to one
 ``error:`` line on stderr and its exit code.
@@ -39,10 +41,13 @@ def main(argv: list[str] | None = None) -> int:
         # argparse handles --help (0) and parse failures (2) itself
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        lines, ok = args.handler(args)
+        for line in lines:
+            print(line)
     except Exception as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2 if isinstance(exc, UsageError) else 1
+    return 0 if ok else 1
 
 
 @cache
@@ -95,14 +100,11 @@ def _species(arg: str) -> Species:
     return builtin_species(arg)
 
 
-def _cmd_compute(args: argparse.Namespace) -> int:
+def _cmd_compute(args: argparse.Namespace) -> tuple[list[str], bool]:
     table = euler_characteristic(_species(args.species), args.max_loops,
                                  connected=not args.all)
     with _all_digits():
-        lines = _render(table, args.format, args.decimal)
-    for line in lines:
-        print(line)
-    return 0
+        return _render(table, args.format, args.decimal), True
 
 
 @contextmanager
@@ -184,61 +186,60 @@ def _latex_rational(v: Fraction) -> str:
     return f"{sign}\\frac{{{abs(v.numerator)}}}{{{v.denominator}}}"
 
 
-def _cmd_verify_bernoulli(args: argparse.Namespace) -> int:
-    failed = False
+def _cmd_verify_bernoulli(args: argparse.Namespace) -> tuple[list[str], bool]:
+    lines, ok = [], True
     for name in ("commutative", "associative"):
         table = euler_characteristic(builtin_species(name), args.max_loops)
         for check in verify_bernoulli(table):
             status = "ok" if check.ok else f"MISMATCH expected {check.expected}"
-            print(f"{name} n={check.loops}: {check.value} {status}")
-            failed = failed or not check.ok
-    return 1 if failed else 0
+            lines.append(f"{name} n={check.loops}: {check.value} {status}")
+            ok = ok and check.ok
+    return lines, ok
 
 
-def _cmd_verify_oracle(args: argparse.Namespace) -> int:
+def _cmd_verify_oracle(args: argparse.Namespace) -> tuple[list[str], bool]:
     sp = _species(args.species)
     # the oracle sums come first, so an order past their budget fails
-    # before the pipeline runs; every line is built before any is printed
+    # before the pipeline runs
     oracles = [(oracle_all_graphs_coefficient(sp, m, 3 * m),
                 oracle_connected_coefficient(sp, m, 3 * m))
                for m in range(1, args.max_loops)]
     series = all_graphs_series(sp, args.max_loops)
     connected = connected_series(series)
-    lines, failed = [], False
+    lines, ok = [], True
     with _all_digits():
         for m, (all_oracle, connected_oracle) in enumerate(oracles, start=1):
             for label, pipeline, oracle in (("all-graphs", series[m], all_oracle),
                                             ("connected", connected[m], connected_oracle)):
-                ok = pipeline == oracle
-                status = "ok" if ok else "MISMATCH"
+                same = pipeline == oracle
+                status = "ok" if same else "MISMATCH"
                 lines.append(f"{label} m={m}: pipeline {pipeline} oracle {oracle} {status}")
-                failed = failed or not ok
-    for line in lines:
-        print(line)
-    return 1 if failed else 0
+                ok = ok and same
+    return lines, ok
 
 
-def _cmd_verify_analytic(args: argparse.Namespace) -> int:
+def _cmd_verify_analytic(args: argparse.Namespace) -> tuple[list[str], bool]:
     result = check_commutative_asymptotics(args.t, args.terms)
-    print(f"t={result.t:g} terms={result.terms_used}")
-    print(f"gamma expression  {result.lhs:.17g}")
-    print(f"partial sum       {result.rhs:.17g}")
-    print(f"residual          {result.residual:.6e}")
-    print(f"next-term bound   {result.bound:.6e}")
-    print(f"asymptotic check: {'pass' if result.passed else 'FAIL'}")
-    return 0 if result.passed else 1
+    return [
+        f"t={result.t:g} terms={result.terms_used}",
+        f"gamma expression  {result.lhs:.17g}",
+        f"partial sum       {result.rhs:.17g}",
+        f"residual          {result.residual:.6e}",
+        f"next-term bound   {result.bound:.6e}",
+        f"asymptotic check: {'pass' if result.passed else 'FAIL'}",
+    ], result.passed
 
 
-def _cmd_verify_equality(args: argparse.Namespace) -> int:
+def _cmd_verify_equality(args: argparse.Namespace) -> tuple[list[str], bool]:
     assoc = euler_characteristic(builtin_species("associative"), args.max_loops)
     comm = euler_characteristic(builtin_species("commutative"), args.max_loops)
-    failed = False
+    lines, ok = [], True
     for n in range(2, args.max_loops + 1):
-        ok = assoc.entries[n] == comm.entries[n]
-        status = "ok" if ok else "MISMATCH"
-        print(f"n={n}: associative {assoc.entries[n]} commutative {comm.entries[n]} {status}")
-        failed = failed or not ok
-    return 1 if failed else 0
+        same = assoc.entries[n] == comm.entries[n]
+        status = "ok" if same else "MISMATCH"
+        lines.append(f"n={n}: associative {assoc.entries[n]} commutative {comm.entries[n]} {status}")
+        ok = ok and same
+    return lines, ok
 
 
 if __name__ == "__main__":

@@ -8,12 +8,13 @@ gives the connected series.
 
 Weight and connectivity depend on a partition only through its multiset
 of block sizes (its shape), so the sum runs over shapes.  The number of
-partitions of each shape comes from the multinomial formula.  Pairings
-are enumerated one by one: every pairing of the 2e half-edges counts
-for the all-graphs sum, and a disjoint-set filter keeps those that
-connect a canonical partition of the shape for the connected sum.  No
-generating-function machinery is imported, so these sums are an
-independent check on the series pipeline.
+partitions of each shape comes from the multinomial formula.  One walk
+enumerates the pairings of the 2e half-edges one by one and tracks
+which vertices of a canonical partition of the shape they join: every
+pairing counts for the all-graphs sum, and those that leave a single
+component count for the connected sum.  No generating-function
+machinery is imported, so these sums are an independent check on the
+series pipeline.
 """
 
 from __future__ import annotations
@@ -22,48 +23,15 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
-from typing import Callable, Iterator, Sequence
+from typing import Iterator
 
 from .species import Species, UsageError
 
-__all__ = [
-    "iter_pairings",
-    "count_pairings",
-    "oracle_all_graphs_coefficient",
-    "oracle_connected_coefficient",
-]
+__all__ = ["oracle_all_graphs_coefficient", "oracle_connected_coefficient"]
 
 # Joint (pairing, partition) enumeration is kept affordable by capping
 # the half-edge count; 2e <= 12 covers coefficients m <= 2 completely.
 JOINT_HALF_EDGE_LIMIT = 12
-
-
-def iter_pairings(points: Sequence[int]) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Yield every perfect matching of ``points`` as a tuple of pairs.
-
-    The first element is always paired first, so each matching appears
-    exactly once.  An odd number of points yields nothing; an empty
-    sequence yields the empty matching.
-    """
-    items = tuple(points)
-    if not items:
-        yield ()
-        return
-    if len(items) % 2:
-        return
-    first, rest = items[0], items[1:]
-    for i, partner in enumerate(rest):
-        remaining = rest[:i] + rest[i + 1:]
-        for tail in iter_pairings(remaining):
-            yield ((first, partner),) + tail
-
-
-@lru_cache(maxsize=None)
-def count_pairings(k: int) -> int:
-    """Number of perfect matchings on k labeled points, by enumeration."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    return sum(1 for _ in iter_pairings(range(k)))
 
 
 def oracle_all_graphs_coefficient(sp: Species, m: int, max_e: int) -> Fraction:
@@ -74,7 +42,7 @@ def oracle_all_graphs_coefficient(sp: Species, m: int, max_e: int) -> Fraction:
     is bounded by requiring 2 * max_e <= 12.
     """
     empty = Fraction(1) if m == 0 else Fraction(0)
-    return empty + _shape_sum(sp, m, max_e, lambda shape: count_pairings(sum(shape)))
+    return empty + _shape_sum(sp, m, max_e, connected=False)
 
 
 def oracle_connected_coefficient(sp: Species, m: int, max_e: int) -> Fraction:
@@ -83,13 +51,13 @@ def oracle_connected_coefficient(sp: Species, m: int, max_e: int) -> Fraction:
     Only pairings that connect the vertices count.  Cost is bounded by
     requiring 2 * max_e <= 12.
     """
-    return _shape_sum(sp, m, max_e, _connected_pairing_count)
+    return _shape_sum(sp, m, max_e, connected=True)
 
 
-def _shape_sum(sp: Species, m: int, max_e: int,
-               pairings: Callable[[tuple[int, ...]], int]) -> Fraction:
-    """Sum of (-1)^v * #partitions * prod Q * pairings(shape) / (2e)!
-    over the block shapes of every graph with e - v = m.
+def _shape_sum(sp: Species, m: int, max_e: int, connected: bool) -> Fraction:
+    """Sum of (-1)^v * #partitions * prod Q * #pairings / (2e)! over the
+    block shapes of every graph with e - v = m, counting all pairings or
+    only the connecting ones.
 
     The arguments are checked before any enumeration starts.
     """
@@ -109,7 +77,7 @@ def _shape_sum(sp: Species, m: int, max_e: int,
         sign = -1 if v % 2 else 1
         for shape in _block_shapes(k, v):
             weight = prod(sp.structure_count(size) for size in shape)
-            count = pairings(shape) if weight else 0
+            count = _pairing_counts(shape)[connected] if weight else 0
             if count:
                 total += sign * _shape_partition_count(shape) * weight * count / factorial(k)
     return total
@@ -140,32 +108,30 @@ def _shape_partition_count(shape: tuple[int, ...]) -> int:
 
 
 @lru_cache(maxsize=None)
-def _connected_pairing_count(shape: tuple[int, ...]) -> int:
-    """Pairings of sum(shape) points that connect the canonical partition.
+def _pairing_counts(shape: tuple[int, ...]) -> tuple[int, int]:
+    """(all, connected): the pairings of sum(shape) half-edges, and those
+    among them that connect the canonical partition of the shape.
 
     The canonical partition takes blocks as consecutive runs; every
-    partition with the same shape sees the same count, since relabeling
-    points permutes pairings and preserves connectivity.
+    partition with the same shape sees the same counts, since relabeling
+    half-edges permutes pairings and preserves connectivity.  The walk
+    pairs the first free half-edge with each other free one in turn,
+    carrying each vertex's component label down to the leaves, one leaf
+    per pairing.
     """
-    k = sum(shape)
-    block_of = []
-    for idx, size in enumerate(shape):
-        block_of.extend([idx] * size)
+    block_of = [idx for idx, size in enumerate(shape) for _ in range(size)]
 
-    def find(parent: list[int], x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    def walk(free: tuple[int, ...], label: tuple[int, ...]) -> tuple[int, int]:
+        if not free:
+            return 1, int(len(set(label)) == 1)
+        first, rest = free[0], free[1:]
+        total = connected = 0
+        for i, partner in enumerate(rest):
+            a, b = label[block_of[first]], label[block_of[partner]]
+            merged = tuple(a if c == b else c for c in label)
+            all_, conn = walk(rest[:i] + rest[i + 1:], merged)
+            total += all_
+            connected += conn
+        return total, connected
 
-    count = 0
-    for pairing in iter_pairings(range(k)):
-        parent = list(range(len(shape)))
-        for a, b in pairing:
-            ra, rb = find(parent, block_of[a]), find(parent, block_of[b])
-            if ra != rb:
-                parent[ra] = rb
-        root = find(parent, 0)
-        if all(find(parent, i) == root for i in range(len(shape))):
-            count += 1
-    return count
+    return walk(tuple(range(len(block_of))), tuple(range(len(shape))))

@@ -6,7 +6,7 @@ import pytest
 import sympy
 
 from orbchi.moments import build_exponent, gaussian_moment, substitute_moments
-from orbchi.oracle import count_pairings
+from orbchi.oracle import _pairing_counts
 from orbchi.series import BivariatePoly, TSeries
 from orbchi.species import builtin_species
 
@@ -31,7 +31,7 @@ class TestGaussianMoment:
     def test_matches_pairing_enumeration(self):
         # independent cross-check against brute-force matching counts
         for k in range(13):
-            assert gaussian_moment(k) == count_pairings(k)
+            assert gaussian_moment(k) == _pairing_counts((k,))[0]
 
     def test_table_recurrence(self):
         for k in range(2, 13, 2):

@@ -1,22 +1,25 @@
 """Unit tests for the brute-force labeled-graph enumeration oracle."""
 
+import ast
 import json
+import random
 from fractions import Fraction as F
-from math import prod
+from math import factorial, prod
+from pathlib import Path
 
 import pytest
 import sympy
 
+import orbchi.oracle
 from orbchi.euler import all_graphs_series, connected_series
 from orbchi.oracle import (
     _block_shapes,
+    _pairing_counts,
     _shape_partition_count,
-    count_pairings,
-    iter_pairings,
     oracle_all_graphs_coefficient,
     oracle_connected_coefficient,
 )
-from orbchi.species import UsageError, builtin_species, species_from_file
+from orbchi.species import Species, UsageError, builtin_species, species_from_file
 
 COMM = builtin_species("commutative")
 
@@ -35,34 +38,26 @@ def partitions_by_blocks(k, sp=None):
     return out
 
 
-class TestPairings:
-    def test_four_points_explicit(self):
-        got = set(iter_pairings((1, 2, 3, 4)))
-        assert got == {
-            ((1, 2), (3, 4)),
-            ((1, 3), (2, 4)),
-            ((1, 4), (2, 3)),
-        }
+class TestPairingCounts:
+    @pytest.mark.parametrize("shape, counts", [
+        ((4,), (3, 3)),
+        ((3, 3), (15, 15)),
+        ((4, 4), (105, 96)),
+        ((4, 3, 3), (945, 900)),
+        ((3, 3, 3, 3), (10395, 9720)),
+        ((4, 4, 4), (10395, 9504)),
+    ])
+    def test_hand_values(self, shape, counts):
+        # e.g. (4, 4) loses the 3 * 3 pairings that keep each vertex to itself
+        assert _pairing_counts(shape) == counts
 
-    def test_empty(self):
-        assert list(iter_pairings(())) == [()]
-
-    def test_odd_yields_nothing(self):
-        assert list(iter_pairings((1, 2, 3))) == []
-
-    def test_counts(self):
-        assert count_pairings(4) == 3
-        assert count_pairings(6) == 15
-        assert count_pairings(5) == 0
-        assert count_pairings(0) == 1
-
-    def test_count_negative_rejected(self):
-        with pytest.raises(ValueError):
-            count_pairings(-2)
-
-    def test_double_factorial_growth(self):
-        for k in range(2, 13, 2):
-            assert count_pairings(k) == (k - 1) * count_pairings(k - 2)
+    def test_single_block(self):
+        # one vertex: every pairing connects it, and there are (k-1)!!
+        for k in range(0, 13, 2):
+            pairings = prod(range(k - 1, 0, -2))
+            assert _pairing_counts((k,)) == (pairings, pairings)
+        for k in range(1, 13, 2):
+            assert _pairing_counts((k,)) == (0, 0)
 
 
 class TestPartitions:
@@ -197,3 +192,35 @@ class TestConnectedOracle:
         sp = builtin_species(name)
         connected = connected_series(all_graphs_series(sp, m + 1))
         assert oracle_connected_coefficient(sp, m, 3 * m) == connected[m]
+
+
+def _seeded_species(seed):
+    """Q_3..Q_12 random nonzero rationals of either sign."""
+    rng = random.Random(seed)
+    table = {n: F(rng.choice((-1, 1)) * rng.randint(1, 40), rng.randint(1, 40)) / factorial(n)
+             for n in range(3, 13)}
+    return Species(f"seeded-{seed}", lambda n: table[n], max_n=12)
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_seeded_species_match_pipeline(seed):
+    sp = _seeded_species(seed)
+    series = all_graphs_series(sp, 3)
+    connected = connected_series(series)
+    for m in (1, 2):
+        assert oracle_all_graphs_coefficient(sp, m, 3 * m) == series[m]
+        assert oracle_connected_coefficient(sp, m, 3 * m) == connected[m]
+
+
+def test_oracle_imports_only_species_from_package():
+    # the oracle is an independent route only while it shares no series,
+    # moments or euler code with the pipeline it checks
+    tree = ast.parse(Path(orbchi.oracle.__file__).read_text(encoding="utf-8"))
+    relative = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level}
+    absolute = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    absolute |= {node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and not node.level}
+    assert relative == {"species"}
+    assert not any(name.split(".")[0] == "orbchi" for name in absolute)
