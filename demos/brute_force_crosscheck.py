@@ -2,15 +2,18 @@
 
 The pipeline never touches an individual graph: it expands a formal
 exponential and substitutes Gaussian moments.  The oracle does the
-opposite: it enumerates every perfect matching of 2e half-edges, counts
-the partitions into vertices of each block shape with the multinomial
-formula, weighs each labeled graph by 1/(2e)!, and adds everything up.
-The two must agree coefficient by coefficient.
+opposite: it counts the perfect matchings of 2e half-edges by pairing
+them one edge at a time, counts the partitions into vertices of each
+block shape with the multinomial formula, weighs each labeled graph by
+1/(2e)!, and adds everything up.  Partial matchings that leave the same
+free half-edges and component labels share one sub-walk, counted once,
+and no generating-function machinery is used.  The two must agree
+coefficient by coefficient.
 
 Connected counting is the interesting case, because it tests the
 logarithm step: log(all-graphs series) = connected series.  There the
-pairing walk carries the component of each vertex down to every
-finished pairing and keeps only those that leave one component.
+pairing walk carries the component of each vertex down the walk and
+counts only the matchings that leave one component.
 """
 
 import time

@@ -9,12 +9,14 @@ gives the connected series.
 Weight and connectivity depend on a partition only through its multiset
 of block sizes (its shape), so the sum runs over shapes.  The number of
 partitions of each shape comes from the multinomial formula.  One walk
-enumerates the pairings of the 2e half-edges one by one and tracks
-which vertices of a canonical partition of the shape they join: every
-pairing counts for the all-graphs sum, and those that leave a single
-component count for the connected sum.  No generating-function
-machinery is imported, so these sums are an independent check on the
-series pipeline.
+pairs the 2e half-edges one edge at a time and tracks which vertices of
+a canonical partition of the shape they join: every pairing counts for
+the all-graphs sum, and those that leave a single component count for
+the connected sum.  Partial pairings that leave the same free
+half-edges and the same component labels lead to identical sub-walks,
+so each such state is walked once and its counts reused.  No
+generating-function machinery is imported, so these sums are an
+independent check on the series pipeline.
 """
 
 from __future__ import annotations
@@ -116,11 +118,13 @@ def _pairing_counts(shape: tuple[int, ...]) -> tuple[int, int]:
     partition with the same shape sees the same counts, since relabeling
     half-edges permutes pairings and preserves connectivity.  The walk
     pairs the first free half-edge with each other free one in turn,
-    carrying each vertex's component label down to the leaves, one leaf
-    per pairing.
+    carrying each vertex's component label down.  A state is the free
+    half-edges and the labels; the pairings that complete it depend on
+    nothing else, so each distinct state is walked once.
     """
     block_of = [idx for idx, size in enumerate(shape) for _ in range(size)]
 
+    @lru_cache(maxsize=None)
     def walk(free: tuple[int, ...], label: tuple[int, ...]) -> tuple[int, int]:
         if not free:
             return 1, int(len(set(label)) == 1)

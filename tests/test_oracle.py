@@ -38,6 +38,37 @@ def partitions_by_blocks(k, sp=None):
     return out
 
 
+def perfect_matchings(points):
+    """Every perfect matching of ``points`` as a list of pairs; none if odd."""
+    if not points:
+        yield []
+        return
+    first, rest = points[0], points[1:]
+    for i, partner in enumerate(rest):
+        for matching in perfect_matchings(rest[:i] + rest[i + 1:]):
+            yield [(first, partner)] + matching
+
+
+def literal_pairing_counts(shape):
+    """(all, connected) pairings of the canonical partition of ``shape``
+    (blocks as consecutive runs of half-edges), one matching at a time."""
+    block_of = [idx for idx, size in enumerate(shape) for _ in range(size)]
+    total = connected = 0
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for matching in perfect_matchings(list(range(len(block_of)))):
+        parent = list(range(len(shape)))
+        for a, b in matching:
+            parent[find(block_of[a])] = find(block_of[b])
+        total += 1
+        connected += len({find(x) for x in range(len(shape))}) == 1
+    return total, connected
+
+
 class TestPairingCounts:
     @pytest.mark.parametrize("shape, counts", [
         ((4,), (3, 3)),
@@ -58,6 +89,15 @@ class TestPairingCounts:
             assert _pairing_counts((k,)) == (pairings, pairings)
         for k in range(1, 13, 2):
             assert _pairing_counts((k,)) == (0, 0)
+
+    def test_matches_literal_enumeration(self):
+        # every shape the oracle sums over, against a walk that lists each
+        # perfect matching and joins its vertices with a union-find
+        shapes = [shape for k in range(13) for v in range(k // 3 + 1)
+                  for shape in _block_shapes(k, v)]
+        assert len(shapes) == 35
+        for shape in shapes:
+            assert _pairing_counts(shape) == literal_pairing_counts(shape), shape
 
 
 class TestPartitions:
