@@ -11,8 +11,8 @@ and it is what ``check_commutative_asymptotics`` verifies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .bernoulli import bernoulli_numbers
 from .species import UsageError
@@ -21,8 +21,7 @@ __all__ = ["AsymptoticResidual", "gamma_expression", "stirling_partial_sum",
            "check_commutative_asymptotics"]
 
 
-@dataclass(frozen=True)
-class AsymptoticResidual:
+class AsymptoticResidual(NamedTuple):
     """Outcome of one truncation check at a single point t."""
 
     t: float

@@ -11,10 +11,9 @@ computed table against this closed form entry by entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:  # pragma: no cover
     from .euler import EulerTable
@@ -34,8 +33,7 @@ def bernoulli_numbers(n_max: int) -> list[Fraction]:
     return values
 
 
-@dataclass(frozen=True)
-class BernoulliCheck:
+class BernoulliCheck(NamedTuple):
     """One entry of the closed-form comparison report."""
 
     loops: int
@@ -55,9 +53,9 @@ def verify_bernoulli(table: EulerTable) -> list[BernoulliCheck]:
     where equality is exact at every loop order; other species are
     expected to fail.
     """
-    bern = bernoulli_numbers(table.max_loops)
+    bern = bernoulli_numbers(max(table.entries))
     return [
-        BernoulliCheck(n, table.entries[n],
+        BernoulliCheck(n, value,
                        bern[n] / (n * (n - 1)) if n % 2 == 0 else Fraction(0))
-        for n in range(2, table.max_loops + 1)
+        for n, value in table.entries.items()
     ]

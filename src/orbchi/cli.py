@@ -126,7 +126,7 @@ def _all_digits():
 
 
 def _render(table: EulerTable, fmt: str, decimal: bool) -> list[str]:
-    items = [(n, table.entries[n]) for n in range(2, table.max_loops + 1)]
+    items = table.entries.items()
     if fmt == "plain":
         return [f"{n}: {v}" + (f" ~ {_approx(v)}" if decimal else "")
                 for n, v in items]

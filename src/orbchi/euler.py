@@ -5,13 +5,13 @@ automorphism-weighted graph count sum (-1)^v / |Aut(G)| over all graphs
 (including disconnected and empty ones) with m = #edges - #vertices and
 every vertex at least trivalent.  Taking the series logarithm restricts the
 sum to connected graphs, where the loop number is n = m + 1; the table is
-indexed by that loop number, for n = 2..max_loops.
+indexed by that loop number, for n = 2..loops.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .moments import build_exponent, substitute_moments
 from .series import TSeries
@@ -25,21 +25,16 @@ __all__ = ["EulerTable", "all_graphs_series", "connected_series",
 MAX_LOOPS = 1000
 
 
-@dataclass(frozen=True)
-class EulerTable:
-    """Exact Euler characteristics per loop number, with provenance."""
+class EulerTable(NamedTuple):
+    """Exact Euler characteristics per loop number, with provenance.
+
+    ``entries`` maps each loop number 2..N, in that order, to its value;
+    N is ``max(entries)``.  ``table[n]`` reads entry n, not a field.
+    """
 
     species_name: str
     connected: bool
-    max_loops: int
     entries: dict[int, Fraction]
-
-    def __post_init__(self):
-        expected = list(range(2, self.max_loops + 1))
-        if sorted(self.entries) != expected:
-            raise ValueError(
-                f"table entries must cover loop numbers 2..{self.max_loops}"
-            )
 
     def __getitem__(self, loops: int) -> Fraction:
         return self.entries[loops]
@@ -74,4 +69,4 @@ def euler_characteristic(species: Species, loops: int, connected: bool = True) -
     g = all_graphs_series(species, loops)
     c = connected_series(g) if connected else g
     entries = {n: c[n - 1] for n in range(2, loops + 1)}
-    return EulerTable(species.name, connected, loops, entries)
+    return EulerTable(species.name, connected, entries)

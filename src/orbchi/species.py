@@ -119,7 +119,7 @@ def species_from_file(path: str | Path) -> Species:
     path = Path(path)
     try:
         raw = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read species file '{path}': {exc}") from exc
 
     def unique_keys(pairs: list[tuple[str, object]]) -> dict:

@@ -17,18 +17,12 @@ from orbchi.species import Species, UsageError, builtin_species
 
 class TestEulerTable:
     def test_entry_access(self):
-        t = EulerTable("x", True, 3, {2: F(1, 12), 3: F(0)})
+        t = EulerTable("x", True, {2: F(1, 12), 3: F(0)})
         assert t[2] == F(1, 12)
         assert t[3] == 0
 
-    def test_requires_exact_key_range(self):
-        with pytest.raises(ValueError):
-            EulerTable("x", True, 3, {2: F(1)})
-        with pytest.raises(ValueError):
-            EulerTable("x", True, 2, {2: F(1), 3: F(1)})
-
     def test_missing_loop_order(self):
-        t = EulerTable("x", True, 2, {2: F(1)})
+        t = EulerTable("x", True, {2: F(1)})
         with pytest.raises(KeyError):
             t[4]
 
@@ -108,6 +102,6 @@ class TestEulerCharacteristic:
         f = tmp_path / "short.json"
         f.write_text(json.dumps({"name": "short", "Q": {"3": 1, "4": 1, "5": 1, "6": 1}}))
         sp = species_from_file(f)
-        assert euler_characteristic(sp, 3).max_loops == 3
+        assert list(euler_characteristic(sp, 3).entries) == [2, 3]
         with pytest.raises(ValueError, match="n=8"):
             euler_characteristic(sp, 4)

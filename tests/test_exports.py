@@ -2,6 +2,9 @@
 
 import importlib
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -33,3 +36,13 @@ def test_frozen_api():
         assert callable(cls.exp)
     assert callable(orbchi.TSeries.log)
     assert "main" in importlib.import_module("orbchi.cli").__all__
+
+
+def test_cli_import_leaves_out_dataclasses():
+    # -S keeps site .pth hooks from deciding what the child has loaded
+    src = str(Path(orbchi.__file__).resolve().parent.parent)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import orbchi.cli; "
+            "print('dataclasses' in sys.modules)")
+    out = subprocess.run([sys.executable, "-S", "-c", code, src],
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "False\n"

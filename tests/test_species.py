@@ -108,9 +108,16 @@ class TestSpeciesFromFile:
         with pytest.raises(ValueError, match="missing Q_5"):
             species_from_file(f)
 
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(ValueError, match="cannot read species file"):
-            species_from_file(tmp_path / "absent.json")
+    @pytest.mark.parametrize("case", ["missing", "directory", "undecodable"])
+    def test_missing_file(self, tmp_path, case):
+        path = {"missing": tmp_path / "absent.json", "directory": tmp_path,
+                "undecodable": tmp_path / "bad.bin"}[case]
+        if case == "undecodable":
+            path.write_bytes(b"\xff\xfe")
+        with pytest.raises(ValueError, match="cannot read species file") as excinfo:
+            species_from_file(path)
+        assert f"'{path}'" in str(excinfo.value)
+        assert not isinstance(excinfo.value, UsageError)
 
     @pytest.mark.parametrize("text", [
         "{not json",
