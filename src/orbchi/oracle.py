@@ -61,7 +61,8 @@ def _shape_sum(sp: Species, m: int, max_e: int, connected: bool) -> Fraction:
     block shapes of every graph with e - v = m, counting all pairings or
     only the connecting ones.
 
-    The arguments are checked before any enumeration starts.
+    The arguments are checked before any enumeration starts, and each
+    valence a shape reads is checked by ``Species.structure_count``.
     """
     if m < 0:
         raise UsageError("m must be >= 0")
@@ -75,7 +76,6 @@ def _shape_sum(sp: Species, m: int, max_e: int, connected: bool) -> Fraction:
     for e in range(m + 1, 3 * m + 1):
         k = 2 * e
         v = e - m
-        sp.check_coverage(k)
         sign = -1 if v % 2 else 1
         for shape in _block_shapes(k, v):
             weight = prod(sp.structure_count(size) for size in shape)

@@ -29,8 +29,7 @@ from typing import Callable, Mapping
 
 from .moments import gaussian_moment
 
-__all__ = ["UsageError", "Species", "BUILTIN_SPECIES", "builtin_species",
-           "species_from_file"]
+__all__ = ["UsageError", "Species", "builtin_species", "species_from_file"]
 
 
 class UsageError(ValueError):
@@ -85,7 +84,7 @@ def _chord_q(n: int) -> Fraction:
     return Fraction(gaussian_moment(n), factorial(n))
 
 
-BUILTIN_SPECIES: Mapping[str, Callable[[int], Fraction]] = {
+_BUILTIN_Q: Mapping[str, Callable[[int], Fraction]] = {
     "commutative": lambda n: Fraction(1, factorial(n)),
     "associative": lambda n: Fraction(1, n),
     "lie": lambda n: Fraction(1, n * (n - 1)),
@@ -96,9 +95,9 @@ BUILTIN_SPECIES: Mapping[str, Callable[[int], Fraction]] = {
 def builtin_species(name: str) -> Species:
     """One of the four built-in species by name."""
     try:
-        q = BUILTIN_SPECIES[name]
+        q = _BUILTIN_Q[name]
     except KeyError:
-        valid = ", ".join(sorted(BUILTIN_SPECIES))
+        valid = ", ".join(sorted(_BUILTIN_Q))
         raise UsageError(f"unknown species '{name}' (valid names: {valid})") from None
     return Species(name, q)
 
@@ -130,8 +129,14 @@ def species_from_file(path: str | Path) -> Species:
             doc[key] = value
         return doc
 
+    def parse_int(digits: str) -> int:
+        try:
+            return int(digits)
+        except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
+            raise ValueError(f"species file '{path}': {exc}") from None
+
     try:
-        doc = json.loads(raw, object_pairs_hook=unique_keys)
+        doc = json.loads(raw, object_pairs_hook=unique_keys, parse_int=parse_int)
     except (json.JSONDecodeError, RecursionError) as exc:
         # nesting too deep for the decoder is as malformed as a syntax error
         raise ValueError(f"species file '{path}' is not valid JSON: {exc}") from exc
@@ -144,35 +149,26 @@ def species_from_file(path: str | Path) -> Species:
         )
 
     counts: dict[int, Fraction] = {}
-    seen: set[int] = set()
     for key, value in doc["Q"].items():
         try:
             n = int(key)
         except ValueError:
             raise ValueError(f"species file '{path}': non-integer valence key '{key}'") from None
-        if n in seen:
+        if n in counts:
             raise ValueError(f"species file '{path}': valence {n} given twice (key '{key}')")
-        seen.add(n)
-        count = _parse_count(path, n, value)
-        if n < 3:
-            if count != 0:
-                raise ValueError(
-                    f"species file '{path}': Q_{n} must be zero "
-                    "(every vertex is at least trivalent)"
-                )
-            continue
-        counts[n] = count
+        counts[n] = _parse_count(path, n, value)
+        if n < 3 and counts[n] != 0:
+            raise ValueError(
+                f"species file '{path}': Q_{n} must be zero "
+                "(every vertex is at least trivalent)"
+            )
 
-    if counts:
-        top = max(counts)
-        for n in range(3, top + 1):
-            if n not in counts:
-                raise ValueError(f"species file '{path}': missing Q_{n}")
-        max_n = top
-    else:
-        max_n = 2  # nothing defined; any computation will refuse coverage
+    max_n = max([2, *counts])  # 2 when no Q_n from n = 3 up: any computation refuses
+    for n in range(3, max_n + 1):
+        if n not in counts:
+            raise ValueError(f"species file '{path}': missing Q_{n}")
 
-    table = {n: c / factorial(n) for n, c in counts.items()}
+    table = {n: c / factorial(n) for n, c in counts.items() if n >= 3}
     return Species(doc["name"], lambda n: table[n], max_n=max_n)
 
 

@@ -225,6 +225,20 @@ class TestVerify:
         assert all(line.endswith(" ok") for line in lines)
         assert getattr(sys, "get_int_max_str_digits", lambda: None)() == cap
 
+    @pytest.mark.parametrize("loops", [2, 3])
+    @pytest.mark.parametrize("command", [("compute",), ("verify", "oracle")],
+                             ids=["compute", "verify-oracle"])
+    def test_oracle_needs_the_coverage_compute_needs(self, capsys, tmp_path, command, loops):
+        # both need Q_3..Q_2N at --max-loops N, and neither needs more
+        f = tmp_path / "sp.json"
+        for top, expected in ((2 * loops, 0), (2 * loops - 1, 1)):
+            f.write_text(json.dumps({"name": "x", "Q": {str(n): 1 for n in range(3, top + 1)}}))
+            code, _, err = run(capsys, *command, "--species", f"file:{f}",
+                               "--max-loops", str(loops))
+            assert code == expected, err
+            if expected:
+                assert f"n={2 * loops} is required" in err
+
     def test_oracle_budget(self, capsys):
         code, out, err = run(capsys, "verify", "oracle", "--species", "commutative",
                              "--max-loops", "4")

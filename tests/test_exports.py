@@ -1,7 +1,8 @@
-"""Every public name a module lists in ``__all__`` exists, and the frozen API stays."""
+"""Every public name a module lists in ``__all__`` exists and is used, and the frozen API stays."""
 
 import importlib
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 import orbchi
 
 MODULES = ["orbchi"] + [f"orbchi.{m.name}" for m in pkgutil.iter_modules(orbchi.__path__)]
+REPO = Path(__file__).resolve().parent.parent
 
 # the names tests/test_acceptance.py imports from the package root
 FROZEN = [
@@ -28,6 +30,24 @@ def test_all_names_exist(name):
     namespace: dict = {}
     exec(f"from {name} import *", namespace)  # AttributeError names a missing one
     assert set(module.__all__) <= set(namespace)
+
+
+def test_public_names_are_used():
+    # a name in a submodule's __all__ must be read by another module of the
+    # package, by a demo, by the README or by the console script that
+    # pyproject.toml declares; otherwise nothing needs it public
+    sources = {path: path.read_text(encoding="utf-8")
+               for path in [*(REPO / "src" / "orbchi").glob("*.py"),
+                            *(REPO / "demos").glob("*.py"),
+                            REPO / "README.md", REPO / "pyproject.toml"]}
+    unused = []
+    for name in MODULES[1:]:
+        own = REPO / "src" / "orbchi" / f"{name.rpartition('.')[2]}.py"
+        for public in importlib.import_module(name).__all__:
+            word = re.compile(rf"\b{re.escape(public)}\b")
+            if not any(word.search(text) for path, text in sources.items() if path != own):
+                unused.append(f"{name}.{public}")
+    assert unused == []
 
 
 def test_frozen_api():

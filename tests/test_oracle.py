@@ -159,13 +159,14 @@ class TestPartitionWeights:
             assert total == int(series.coeff(x, k) * sympy.factorial(k))
 
     def test_coverage_error(self, tmp_path):
+        # m = 1 reads Q_3 and Q_4 only: shapes (4) and (3, 3)
         f = tmp_path / "sp.json"
-        f.write_text(json.dumps({"name": "x", "Q": {"3": 1, "4": 1}}))
+        f.write_text(json.dumps({"name": "x", "Q": {"3": 1}}))
         sp = species_from_file(f)
-        with pytest.raises(ValueError, match="n=6") as excinfo:
+        with pytest.raises(ValueError, match="n=4 is required") as excinfo:
             oracle_all_graphs_coefficient(sp, 1, 3)
         assert not isinstance(excinfo.value, UsageError)
-        with pytest.raises(ValueError, match="n=6"):
+        with pytest.raises(ValueError, match="n=4 is required"):
             oracle_connected_coefficient(sp, 1, 3)
 
 

@@ -1,23 +1,25 @@
 """Unit tests for built-in species, the file loader, and valence bounds."""
 
 import json
+import sys
 from fractions import Fraction as F
 from math import factorial
 
 import pytest
 
 import orbchi
-from orbchi.species import (
-    BUILTIN_SPECIES,
-    UsageError,
-    builtin_species,
-    species_from_file,
-)
+from orbchi.species import UsageError, builtin_species, species_from_file
+
+BUILTINS = ("commutative", "associative", "lie", "chord")
 
 
 class TestBuiltins:
     def test_names(self):
-        assert set(BUILTIN_SPECIES) == {"commutative", "associative", "lie", "chord"}
+        for name in BUILTINS:
+            assert builtin_species(name).name == name
+        # the unknown-name message lists every built-in and nothing else
+        with pytest.raises(UsageError, match=r"\(valid names: associative, chord, commutative, lie\)$"):
+            builtin_species("quantum")
 
     def test_commutative_q3(self):
         assert builtin_species("commutative").q(3) == F(1, 6)
@@ -38,7 +40,7 @@ class TestBuiltins:
         assert sp.q(4) == F(1, 8)
 
     def test_below_valence_three_is_zero(self):
-        for name in BUILTIN_SPECIES:
+        for name in BUILTINS:
             sp = builtin_species(name)
             assert sp.q(0) == sp.q(1) == sp.q(2) == 0
 
@@ -52,7 +54,7 @@ class TestBuiltins:
         assert issubclass(UsageError, ValueError)
 
     def test_structure_counts_are_nonnegative_integers(self):
-        for name in BUILTIN_SPECIES:
+        for name in BUILTINS:
             sp = builtin_species(name)
             for n in range(3, 23):
                 count = sp.structure_count(n)
@@ -128,6 +130,19 @@ class TestSpeciesFromFile:
         f.write_text(text, encoding="utf-8")
         with pytest.raises(ValueError, match="not valid JSON") as excinfo:
             species_from_file(f)
+        assert not isinstance(excinfo.value, UsageError)
+
+    def test_integer_past_str_digit_cap(self, tmp_path):
+        # the decoder refuses an integer literal past the cap (4300 digits by default)
+        cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not cap:
+            pytest.skip("this Python converts integers of any length")
+        f = tmp_path / "huge.json"
+        f.write_text('{"name": "x", "Q": {"3": 1' + "0" * cap + "}}", encoding="utf-8")
+        with pytest.raises(ValueError, match="Exceeds the limit") as excinfo:
+            species_from_file(f)
+        assert str(excinfo.value).startswith(f"species file '{f}': ")
+        assert len(str(excinfo.value).splitlines()) == 1
         assert not isinstance(excinfo.value, UsageError)
 
     def test_wrong_shape(self, tmp_path):
