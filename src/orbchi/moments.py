@@ -13,7 +13,10 @@ The pipeline steps around this module:
    vertices), in ``series``, by the s-row recurrence
    i h_i = sum_{k=1..i} (k e_k) h_{i-k} that follows from H' = E'H;
 3. ``substitute_moments`` -- replace each y^k by Ch_k, pairing up half-edges
-   into edges, which collapses the result to a univariate series in t;
+   into edges, which collapses the result to a univariate series in t.  It
+   streams over the rows of exp once, growing the Ch table as larger
+   y-degrees appear and holding no copy of the terms, so those rows are the
+   pipeline's peak memory;
 4. ``TSeries.log`` -- keep the connected graphs, in ``series``, by the
    recurrence c_m = g_m - (1/m) sum_{k=1..m-1} k c_k g_{m-k}.
 """
@@ -67,12 +70,11 @@ def substitute_moments(p: BivariatePoly) -> TSeries:
     """
     if p.s_cutoff % 2:
         raise ValueError("moment substitution needs an even s_cutoff")
-    terms = list(p.items())
-    ch = [1, 0]  # Ch_j for every y-degree present, by Ch_j = (j-1) Ch_{j-2}
-    for j in range(2, max((y for (_, y), _ in terms), default=0) + 1):
-        ch.append((j - 1) * ch[j - 2])
+    ch = [1, 0]  # Ch_j = (j-1) Ch_{j-2}, grown as larger y-degrees appear
     out = [Fraction(0)] * (p.s_cutoff // 2 + 1)
-    for (i, j), c in terms:
+    for (i, j), c in p.items():  # one pass: no copy of the terms is held
+        while len(ch) <= j:
+            ch.append((len(ch) - 1) * ch[-2])
         if not ch[j]:
             continue
         if i % 2:

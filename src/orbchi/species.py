@@ -129,11 +129,8 @@ def species_from_file(path: str | Path) -> Species:
             doc[key] = value
         return doc
 
-    def parse_int(digits: str) -> int:
-        try:
-            return int(digits)
-        except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
-            raise ValueError(f"species file '{path}': {exc}") from None
+    def parse_int(digits: str) -> int | None:  # JSON digits: only the cap can fail
+        return _int(digits, f"species file '{path}': ")
 
     try:
         doc = json.loads(raw, object_pairs_hook=unique_keys, parse_int=parse_int)
@@ -150,10 +147,9 @@ def species_from_file(path: str | Path) -> Species:
 
     counts: dict[int, Fraction] = {}
     for key, value in doc["Q"].items():
-        try:
-            n = int(key)
-        except ValueError:
-            raise ValueError(f"species file '{path}': non-integer valence key '{key}'") from None
+        n = _int(key, f"species file '{path}': valence key: ")
+        if n is None:
+            raise ValueError(f"species file '{path}': non-integer valence key '{key}'")
         if n in counts:
             raise ValueError(f"species file '{path}': valence {n} given twice (key '{key}')")
         counts[n] = _parse_count(path, n, value)
@@ -172,6 +168,21 @@ def species_from_file(path: str | Path) -> Species:
     return Species(doc["name"], lambda n: table[n], max_n=max_n)
 
 
+def _int(text: str, context: str) -> int | None:
+    """``int(text)``, or None when ``text`` is no integer literal.
+
+    A literal with more digits than ``sys.get_int_max_str_digits()`` is well
+    formed, so it fails on its own: one line, ``context`` followed by the
+    cap, and none of the digits.
+    """
+    try:
+        return int(text)
+    except ValueError as exc:
+        if str(exc).startswith("invalid literal"):
+            return None
+        raise ValueError(f"{context}{exc}") from None
+
+
 def _parse_count(path: Path, n: int, value) -> Fraction:
     if isinstance(value, bool):
         raise ValueError(f"species file '{path}': Q_{n} must be an integer or 'p/q'")
@@ -179,10 +190,8 @@ def _parse_count(path: Path, n: int, value) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         num, sep, den = value.partition("/")
-        try:
-            if sep:
-                return Fraction(int(num), int(den))
-            return Fraction(int(num))
-        except (ValueError, ZeroDivisionError):
-            pass
+        context = f"species file '{path}': Q_{n}: "
+        p, q = _int(num, context), _int(den, context) if sep else 1
+        if p is not None and q:
+            return Fraction(p, q)
     raise ValueError(f"species file '{path}': Q_{n} must be an integer or 'p/q', got {value!r}")

@@ -158,6 +158,23 @@ class TestCompute:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert "not valid JSON" in err
 
+    @pytest.mark.parametrize("q", [
+        '{"3": %s}', '{"3": "%s"}', '{"3": "1/%s"}', '{"3": 1, "%s": 0}',
+    ], ids=["literal", "string", "fraction", "valence-key"])
+    def test_species_file_past_str_digit_cap(self, capsys, tmp_path, q):
+        cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not cap:
+            pytest.skip("this Python converts integers of any length")
+        f = tmp_path / "huge.json"
+        f.write_text('{"name": "x", "Q": ' + q % ("1" + "0" * cap) + "}")
+        code, out, err = run(capsys, "compute", "--species", f"file:{f}",
+                             "--max-loops", "2")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "Exceeds the limit" in err
+        assert len(err) < 300
+
     def test_other_exception_is_one_line_exit_1(self, capsys, monkeypatch):
         def boom(*args, **kwargs):
             raise ZeroDivisionError("division by zero")

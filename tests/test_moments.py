@@ -1,5 +1,6 @@
 """Unit tests for Gaussian moments and the y^k -> Ch_k substitution."""
 
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -143,3 +144,26 @@ class TestSubstituteMoments:
         lhs = substitute_moments(p * a + q * b)
         rhs = substitute_moments(p) * a + substitute_moments(q) * b
         assert lhs == rhs
+
+    def test_y_degrees_out_of_order(self):
+        # row 0 needs Ch_6 before row 2 reads Ch_2 and Ch_3, then grows to Ch_8
+        p = BivariatePoly({(0, 6): 1, (1, 5): F(4), (2, 2): F(1, 2), (2, 3): F(7),
+                           (2, 8): F(1, 105)}, 2)
+        assert substitute_moments(p) == TSeries([15, F(3, 2)])
+
+    def test_all_zero(self):
+        assert substitute_moments(BivariatePoly({}, 2)) == TSeries([0, 0])
+
+    def test_holds_no_copy_of_the_terms(self):
+        # streaming over the rows: beyond h itself, the substitution may only
+        # hold its running sums (a list of every term would cost ~0.7 x h here)
+        tracemalloc.start()
+        try:
+            h = build_exponent(builtin_species("lie"), 40).exp()
+            size = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            substitute_moments(h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - size <= 0.25 * size, (peak - size) / size

@@ -132,17 +132,26 @@ class TestSpeciesFromFile:
             species_from_file(f)
         assert not isinstance(excinfo.value, UsageError)
 
-    def test_integer_past_str_digit_cap(self, tmp_path):
-        # the decoder refuses an integer literal past the cap (4300 digits by default)
+    @pytest.mark.parametrize("q, where", [
+        ('{"3": %s}', ""),
+        ('{"3": "%s"}', "Q_3: "),
+        ('{"3": "1/%s"}', "Q_3: "),
+        ('{"3": 1, "%s": 0}', "valence key: "),
+    ], ids=["literal", "string", "fraction", "valence-key"])
+    def test_integer_past_str_digit_cap(self, tmp_path, q, where):
+        # a well-formed integer past the cap (4300 digits by default) is
+        # reported as the cap, naming where it sits but none of its digits
         cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
         if not cap:
             pytest.skip("this Python converts integers of any length")
         f = tmp_path / "huge.json"
-        f.write_text('{"name": "x", "Q": {"3": 1' + "0" * cap + "}}", encoding="utf-8")
+        f.write_text('{"name": "x", "Q": ' + q % ("1" + "0" * cap) + "}", encoding="utf-8")
         with pytest.raises(ValueError, match="Exceeds the limit") as excinfo:
             species_from_file(f)
-        assert str(excinfo.value).startswith(f"species file '{f}': ")
-        assert len(str(excinfo.value).splitlines()) == 1
+        message = str(excinfo.value)
+        assert message.startswith(f"species file '{f}': {where}Exceeds the limit")
+        assert len(message.splitlines()) == 1
+        assert len(message) < len(str(f)) + 200
         assert not isinstance(excinfo.value, UsageError)
 
     def test_wrong_shape(self, tmp_path):
