@@ -8,9 +8,11 @@ nothing: the library's own checks decide, raising ``UsageError`` for a
 request out of range, and ``main`` alone maps an exception to one
 ``error:`` line on stderr and its exit code.
 
-All rational output is exact ("p/q", or "p" when the denominator is 1);
---decimal adds clearly marked 15-digit decimal approximations but never
-replaces the exact values.
+All rational output is exact ("p/q", or "p" when the denominator is 1)
+and printed in full through ``decimal``, without changing
+``sys.get_int_max_str_digits()``; species files are still parsed under
+that cap.  --decimal adds clearly marked 15-digit decimal approximations
+but never replaces the exact values.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import contextmanager
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 from functools import cache
 
@@ -31,6 +33,11 @@ from .species import Species, UsageError, builtin_species, species_from_file
 __all__ = ["main"]
 
 FORMATS = ("plain", "csv", "json", "latex")
+# Row template and decimal separator of each text format.
+_TEXT_ROWS = {"plain": ("{}: {}", " ~ "), "csv": ("{},{}", ","),
+              "latex": ("{} & {} \\\\", " % ")}
+# --decimal rounding: 15 significant digits, half to even, exponent unbounded
+_APPROX = Context(prec=15, rounding=ROUND_HALF_EVEN, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -103,87 +110,58 @@ def _species(arg: str) -> Species:
 def _cmd_compute(args: argparse.Namespace) -> tuple[list[str], bool]:
     table = euler_characteristic(_species(args.species), args.max_loops,
                                  connected=not args.all)
-    with _all_digits():
-        return _render(table, args.format, args.decimal), True
-
-
-@contextmanager
-def _all_digits():
-    """Lift Python's cap on int-to-str conversion for the block.
-
-    The cap is 4300 digits by default (3.11+, 3.10.7+).  Exact values are
-    printed in full however many digits they have, so only the blocks that
-    format output lift it; species-file parsing keeps it.
-    """
-    saved = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if saved:
-        sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        if saved:
-            sys.set_int_max_str_digits(saved)
+    return _render(table, args.format, args.decimal), True
 
 
 def _render(table: EulerTable, fmt: str, decimal: bool) -> list[str]:
     items = table.entries.items()
-    if fmt == "plain":
-        return [f"{n}: {v}" + (f" ~ {_approx(v)}" if decimal else "")
-                for n, v in items]
-    if fmt == "csv":
-        header = "loops,value,decimal" if decimal else "loops,value"
-        rows = [f"{n},{v}" + (f",{_approx(v)}" if decimal else "")
-                for n, v in items]
-        return [header] + rows
     if fmt == "json":
         obj: dict[str, object] = {
             "species": table.species_name,
             "connected": table.connected,
-            "entries": {str(n): str(v) for n, v in items},
+            "entries": {str(n): _exact(v) for n, v in items},
         }
         if decimal:
             obj["decimals"] = {str(n): _approx(v) for n, v in items}
         return [json.dumps(obj, separators=(",", ":"))]
-    if fmt == "latex":
-        return [f"{n} & {_latex_rational(v)} \\\\"
-                + (f" % {_approx(v)}" if decimal else "")
-                for n, v in items]
-    raise ValueError(f"unknown format {fmt!r}")
+    row, sep = _TEXT_ROWS[fmt]
+    exact = _latex_rational if fmt == "latex" else _exact
+    lines = [row.format(n, exact(v)) + (sep + _approx(v) if decimal else "")
+             for n, v in items]
+    if fmt == "csv":
+        lines.insert(0, "loops,value,decimal" if decimal else "loops,value")
+    return lines
+
+
+def _exact(v: Fraction | int) -> str:
+    """v as "p/q", or "p" when q is 1, in full however many digits it has.
+
+    ``Decimal`` converts and prints an int exactly with no digit cap, so
+    no interpreter-wide setting changes.
+    """
+    if v.denominator == 1:
+        return str(Decimal(v.numerator))
+    return f"{Decimal(v.numerator)}/{Decimal(v.denominator)}"
 
 
 def _approx(v: Fraction) -> str:
     """v to 15 significant digits, in the shape of format(x, ".15g").
 
-    Rounds half to even from the exact integers, so a value outside the
-    range of a float neither overflows nor underflows to zero.
+    One correctly rounded decimal division, so a value outside the range
+    of a float neither overflows nor underflows to zero.
     """
-    if not v:
-        return "0"
-    mag = abs(v)
-    exp = len(str(mag.numerator)) - len(str(mag.denominator))
-    if mag < Fraction(10) ** exp:
-        exp -= 1
-    digits = round(mag / Fraction(10) ** (exp - 14))
-    if digits == 10 ** 15:
-        digits //= 10
-        exp += 1
-    text = str(digits)
+    d = _APPROX.divide(v.numerator, v.denominator).normalize(_APPROX)
+    exp = d.adjusted()
     if -4 <= exp < 15:
-        if exp >= 0:
-            body = text[: exp + 1] + "." + text[exp + 1:]
-        else:
-            body = "0." + "0" * (-exp - 1) + text
-        body = body.rstrip("0").rstrip(".")
-    else:
-        body = (text[0] + "." + text[1:]).rstrip("0").rstrip(".") + f"e{exp:+03d}"
-    return ("-" if v < 0 else "") + body
+        return format(d, "f")
+    return f"{d.scaleb(-exp, _APPROX):f}e{exp:+03d}"
 
 
 def _latex_rational(v: Fraction) -> str:
     if v.denominator == 1:
-        return str(v.numerator)
+        return _exact(v)
     sign = "-" if v < 0 else ""
-    return f"{sign}\\frac{{{abs(v.numerator)}}}{{{v.denominator}}}"
+    return f"{sign}\\frac{{{_exact(abs(v.numerator))}}}{{{_exact(v.denominator)}}}"
 
 
 def _cmd_verify_bernoulli(args: argparse.Namespace) -> tuple[list[str], bool]:
@@ -191,8 +169,8 @@ def _cmd_verify_bernoulli(args: argparse.Namespace) -> tuple[list[str], bool]:
     for name in ("commutative", "associative"):
         table = euler_characteristic(builtin_species(name), args.max_loops)
         for check in verify_bernoulli(table):
-            status = "ok" if check.ok else f"MISMATCH expected {check.expected}"
-            lines.append(f"{name} n={check.loops}: {check.value} {status}")
+            status = "ok" if check.ok else f"MISMATCH expected {_exact(check.expected)}"
+            lines.append(f"{name} n={check.loops}: {_exact(check.value)} {status}")
             ok = ok and check.ok
     return lines, ok
 
@@ -207,14 +185,14 @@ def _cmd_verify_oracle(args: argparse.Namespace) -> tuple[list[str], bool]:
     series = all_graphs_series(sp, args.max_loops)
     connected = connected_series(series)
     lines, ok = [], True
-    with _all_digits():
-        for m, (all_oracle, connected_oracle) in enumerate(oracles, start=1):
-            for label, pipeline, oracle in (("all-graphs", series[m], all_oracle),
-                                            ("connected", connected[m], connected_oracle)):
-                same = pipeline == oracle
-                status = "ok" if same else "MISMATCH"
-                lines.append(f"{label} m={m}: pipeline {pipeline} oracle {oracle} {status}")
-                ok = ok and same
+    for m, (all_oracle, connected_oracle) in enumerate(oracles, start=1):
+        for label, pipeline, oracle in (("all-graphs", series[m], all_oracle),
+                                        ("connected", connected[m], connected_oracle)):
+            same = pipeline == oracle
+            status = "ok" if same else "MISMATCH"
+            lines.append(f"{label} m={m}: pipeline {_exact(pipeline)} "
+                         f"oracle {_exact(oracle)} {status}")
+            ok = ok and same
     return lines, ok
 
 
@@ -237,7 +215,8 @@ def _cmd_verify_equality(args: argparse.Namespace) -> tuple[list[str], bool]:
     for n in range(2, args.max_loops + 1):
         same = assoc.entries[n] == comm.entries[n]
         status = "ok" if same else "MISMATCH"
-        lines.append(f"n={n}: associative {assoc.entries[n]} commutative {comm.entries[n]} {status}")
+        lines.append(f"n={n}: associative {_exact(assoc.entries[n])} "
+                     f"commutative {_exact(comm.entries[n])} {status}")
         ok = ok and same
     return lines, ok
 

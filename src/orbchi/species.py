@@ -22,6 +22,7 @@ User-defined species are loaded from a JSON file; see ``species_from_file``.
 from __future__ import annotations
 
 import json
+import reprlib
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
@@ -70,7 +71,7 @@ class Species:
         """Raise unless counts are defined for all valences up to n."""
         if self.max_n is not None and n > self.max_n:
             raise ValueError(
-                f"species '{self.name}' defines Q_n only up to n={self.max_n}, "
+                f"species {reprlib.repr(self.name)} defines Q_n only up to n={self.max_n}, "
                 f"but n={n} is required"
             )
 
@@ -98,7 +99,7 @@ def builtin_species(name: str) -> Species:
         q = _BUILTIN_Q[name]
     except KeyError:
         valid = ", ".join(sorted(_BUILTIN_Q))
-        raise UsageError(f"unknown species '{name}' (valid names: {valid})") from None
+        raise UsageError(f"unknown species {reprlib.repr(name)} (valid names: {valid})") from None
     return Species(name, q)
 
 
@@ -113,7 +114,8 @@ def species_from_file(path: str | Path) -> Species:
     Q_n, either an integer or a rational written ``"p/q"``.  The valences
     must cover 3..max without gaps, each named by one key only; entries
     below 3 are only accepted when they are zero.  No object in the file
-    may repeat a key.
+    may repeat a key.  Errors quote text from the file through
+    ``reprlib.repr``, so each stays one short line.
     """
     path = Path(path)
     try:
@@ -125,7 +127,7 @@ def species_from_file(path: str | Path) -> Species:
         doc = {}
         for key, value in pairs:
             if key in doc:
-                raise ValueError(f"species file '{path}': key {key!r} given twice")
+                raise ValueError(f"species file '{path}': key {reprlib.repr(key)} given twice")
             doc[key] = value
         return doc
 
@@ -149,9 +151,10 @@ def species_from_file(path: str | Path) -> Species:
     for key, value in doc["Q"].items():
         n = _int(key, f"species file '{path}': valence key: ")
         if n is None:
-            raise ValueError(f"species file '{path}': non-integer valence key '{key}'")
+            raise ValueError(f"species file '{path}': non-integer valence key {reprlib.repr(key)}")
         if n in counts:
-            raise ValueError(f"species file '{path}': valence {n} given twice (key '{key}')")
+            raise ValueError(
+                f"species file '{path}': valence {n} given twice (key {reprlib.repr(key)})")
         counts[n] = _parse_count(path, n, value)
         if n < 3 and counts[n] != 0:
             raise ValueError(
@@ -194,4 +197,5 @@ def _parse_count(path: Path, n: int, value) -> Fraction:
         p, q = _int(num, context), _int(den, context) if sep else 1
         if p is not None and q:
             return Fraction(p, q)
-    raise ValueError(f"species file '{path}': Q_{n} must be an integer or 'p/q', got {value!r}")
+    raise ValueError(
+        f"species file '{path}': Q_{n} must be an integer or 'p/q', got {reprlib.repr(value)}")

@@ -2,11 +2,15 @@
 
 import json
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 import orbchi.cli
-from orbchi.cli import main
+from orbchi.cli import FORMATS, main
+from orbchi.euler import euler_characteristic
+from orbchi.species import species_from_file
 
 
 def run(capsys, *argv):
@@ -96,21 +100,43 @@ class TestCompute:
         assert code == 0
         assert out.splitlines() == ["2: 1/12 ~ 0.0833333333333333"]
 
-    @pytest.mark.parametrize("q, decimals", [
-        ("1" + "0" * 200, ["2.08333333333333e+399", "3.125e+799"]),
-        ("1/1" + "0" * 400, ["-1.25e-401", "-2.08333333333333e-402"]),
+    @pytest.mark.parametrize("q, decimals, fmt", [
+        ("1" + "0" * 200, ["2.08333333333333e+399", "3.125e+799"], "plain"),
+        ("1/1" + "0" * 400, ["-1.25e-401", "-2.08333333333333e-402"], "plain"),
         # exact values of 3000 and 6000 digits, past str(int)'s default cap
-        ("1" + "0" * 1500, ["2.08333333333333e+2999", "3.125e+5999"]),
+        *[("1" + "0" * 1500, ["2.08333333333333e+2999", "3.125e+5999"], fmt)
+          for fmt in FORMATS],
     ])
-    def test_decimal_beyond_float_range(self, capsys, tmp_path, q, decimals):
+    def test_decimal_beyond_float_range(self, capsys, tmp_path, q, decimals, fmt):
         f = tmp_path / "extreme.json"
         f.write_text(json.dumps({"name": "extreme", "Q": {str(n): q for n in range(3, 7)}}))
         cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
         code, out, err = run(capsys, "compute", "--species", f"file:{f}",
-                             "--max-loops", "3", "--decimal")
+                             "--max-loops", "3", "--format", fmt, "--decimal")
         assert code == 0, err
-        assert [line.split(" ~ ")[1] for line in out.splitlines()] == decimals
         assert getattr(sys, "get_int_max_str_digits", lambda: None)() == cap
+        # the expected exact text, from str() with the cap lifted here only
+        table = euler_characteristic(species_from_file(f), 3)
+        if cap:
+            sys.set_int_max_str_digits(0)
+        try:
+            exact = {n: str(v) for n, v in table.entries.items()}
+            latex = {n: str(v) if v.denominator == 1 else
+                     f"{'-' * (v < 0)}\\frac{{{abs(v.numerator)}}}{{{v.denominator}}}"
+                     for n, v in table.entries.items()}
+        finally:
+            if cap:
+                sys.set_int_max_str_digits(cap)
+        rows = list(zip(exact, decimals))
+        assert out.splitlines() == {
+            "plain": [f"{n}: {exact[n]} ~ {d}" for n, d in rows],
+            "csv": ["loops,value,decimal"] + [f"{n},{exact[n]},{d}" for n, d in rows],
+            "json": [json.dumps({"species": "extreme", "connected": True,
+                                 "entries": {str(n): exact[n] for n, _ in rows},
+                                 "decimals": {str(n): d for n, d in rows}},
+                                separators=(",", ":"))],
+            "latex": [f"{n} & {latex[n]} \\\\ % {d}" for n, d in rows],
+        }[fmt]
 
     def test_json_round_trip(self, capsys):
         code, out, _ = run(capsys, "compute", "--species", "lie", "--format", "json")
@@ -175,6 +201,21 @@ class TestCompute:
         assert "Exceeds the limit" in err
         assert len(err) < 300
 
+    @pytest.mark.parametrize("text", ["x" * 5000, "a\nb"], ids=["long", "newline"])
+    @pytest.mark.parametrize("doc", [
+        '{"name": %s, "Q": {"3": 1, "4": 1}}', '{"name": "x", "Q": {%s: 1}}',
+        '{"name": "x", "Q": {"3": %s}}',
+    ], ids=["name", "valence-key", "count"])
+    def test_species_file_text_on_one_short_line(self, capsys, tmp_path, doc, text):
+        f = tmp_path / "quoted.json"
+        f.write_text(doc % json.dumps(text))
+        code, out, err = run(capsys, "compute", "--species", f"file:{f}",
+                             "--max-loops", "3")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert len(err) < 300
+
     def test_other_exception_is_one_line_exit_1(self, capsys, monkeypatch):
         def boom(*args, **kwargs):
             raise ZeroDivisionError("division by zero")
@@ -210,6 +251,29 @@ class TestCompute:
     def test_usage_error_from_argparse(self, capsys):
         code = main(["compute"])  # --species is required
         assert code == 2
+
+
+@pytest.mark.parametrize("command", [
+    *[("compute", "--format", fmt, "--decimal") for fmt in FORMATS],
+    ("verify", "oracle"),
+], ids=[*FORMATS, "verify-oracle"])
+def test_output_leaves_str_digit_cap_alone(capsys, monkeypatch, tmp_path, command):
+    # values of 5000 and 10000 digits print in full with the cap untouched
+    def refuse(limit):
+        raise AssertionError(f"set_int_max_str_digits({limit}) called")
+    monkeypatch.setattr(sys, "set_int_max_str_digits", refuse, raising=False)
+    f = tmp_path / "huge.json"
+    f.write_text(json.dumps({"name": "huge",
+                             "Q": {str(n): "1" + "0" * 2500 for n in range(3, 13)}}))
+    code, out, err = run(capsys, *command, "--species", f"file:{f}", "--max-loops", "3")
+    assert (code, err) == (0, "")
+    assert len(out) > 15000
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False).filter(bool))
+def test_approx_rounds_like_float_formatting(x):
+    # format() rounds a float's exact binary value correctly, half to even
+    assert orbchi.cli._approx(Fraction(x)) == format(x, ".15g")
 
 
 class TestVerify:

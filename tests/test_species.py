@@ -48,6 +48,13 @@ class TestBuiltins:
         with pytest.raises(UsageError, match="associative, chord, commutative, lie"):
             builtin_species("quantum")
 
+    @pytest.mark.parametrize("name", ["q" * 5000, "a\nb"], ids=["long", "newline"])
+    def test_unknown_name_on_one_short_line(self, name):
+        with pytest.raises(UsageError, match="^unknown species ") as excinfo:
+            builtin_species(name)
+        assert len(str(excinfo.value).splitlines()) == 1
+        assert len(str(excinfo.value)) < 120
+
     def test_usage_error_is_exported_value_error(self):
         assert orbchi.UsageError is UsageError
         assert "UsageError" in orbchi.__all__
@@ -169,7 +176,10 @@ class TestSpeciesFromFile:
         ('{"name": "x", "Q": {"2": 0, " 2": 0, "3": 1}}', "valence 2 given twice"),
         ('{"name": "x", "Q": {"3": 1, "3": 5, "4": 0}}', "key '3' given twice"),
         ('{"name": "x", "name": "y", "Q": {"3": 1}}', "key 'name' given twice"),
-    ], ids=["leading-zero", "below-three", "verbatim-valence", "verbatim-name"])
+        ('{"name": "x", "Q": {"3": 1, "\\n3": 5}}', "valence 3 given twice"),
+        ('{"name": "x", "Q": {"3": 1, "%s3": 5}}' % (" " * 5000), "valence 3 given twice"),
+    ], ids=["leading-zero", "below-three", "verbatim-valence", "verbatim-name",
+            "newline-valence", "long-valence"])
     def test_repeated_valence_rejected(self, tmp_path, text, message):
         f = tmp_path / "twice.json"
         f.write_text(text, encoding="utf-8")
@@ -177,6 +187,7 @@ class TestSpeciesFromFile:
             species_from_file(f)
         assert not isinstance(excinfo.value, UsageError)
         assert len(str(excinfo.value).splitlines()) == 1
+        assert len(str(excinfo.value)) < len(str(f)) + 120
 
     def test_bad_count_value(self, tmp_path):
         f = write_species(tmp_path, {"name": "x", "Q": {"3": 1.5}})
@@ -200,3 +211,27 @@ class TestSpeciesFromFile:
         with pytest.raises(ValueError, match="n=5"):
             sp.check_coverage(5)
 
+
+    @pytest.mark.parametrize("text", ["ok", "x" * 5000, "a\nb"],
+                             ids=["short", "long", "newline"])
+    @pytest.mark.parametrize("where", ["name", "valence-key", "count", "repeated-key"])
+    def test_file_text_quoted_on_one_short_line(self, tmp_path, where, text):
+        # text from the file is quoted cut short and escaped; short text as before
+        doc = {"name": '{"name": %s, "Q": {"3": 1, "4": 1}}',
+               "valence-key": '{"name": "x", "Q": {%s: 1}}',
+               "count": '{"name": "x", "Q": {"3": %s}}',
+               "repeated-key": '{"name": "x", "Q": {%s: 1, %s: 5}}'}[where]
+        f = tmp_path / "quoted.json"
+        f.write_text(doc.replace("%s", json.dumps(text)), encoding="utf-8")
+        with pytest.raises(ValueError) as excinfo:
+            species_from_file(f).check_coverage(5)
+        message = str(excinfo.value)
+        assert len(message.splitlines()) == 1
+        assert len(message) < len(str(f)) + 120
+        if text == "ok":
+            assert message == {
+                "name": "species 'ok' defines Q_n only up to n=4, but n=5 is required",
+                "valence-key": f"species file '{f}': non-integer valence key 'ok'",
+                "count": f"species file '{f}': Q_3 must be an integer or 'p/q', got 'ok'",
+                "repeated-key": f"species file '{f}': key 'ok' given twice",
+            }[where]
