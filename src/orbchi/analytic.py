@@ -42,10 +42,15 @@ def check_commutative_asymptotics(t: float, terms: int) -> AsymptoticResidual:
     float t converts exactly) and rounded once.
 
     The first omitted term has magnitude |B_{2K+2}/((2K+2)(2K+1))| t^{2K+1};
-    the check passes when the residual is within 10x of it.
+    the check passes when the residual is within 10x of it.  Below
+    t = 1e-6 the float left side carries no information (it is exactly 0 at
+    1e-7 and nan at 5e-324), so such a t is refused.
     """
     if not 0.0 < t <= 0.2:
         raise UsageError("t must lie in (0, 1/5]")
+    if t < 1e-6:  # at 1e-6 the left side is still within 0.6% of t/12
+        raise UsageError("t must be at least 1e-6: below it the float "
+                         "log-gamma expression carries no information")
     if not 1 <= terms <= 5:
         raise UsageError("terms must lie in 1..5")
     lhs = (1.0 / t) * (1.0 + math.log(t)) - 0.5 * math.log(2.0 * math.pi * t) \

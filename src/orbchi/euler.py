@@ -13,15 +13,16 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .moments import build_exponent, substitute_moments
+from .moments import vertex_count_sum
 from .series import TSeries
 from .species import Species, UsageError
 
 __all__ = ["EulerTable", "all_graphs_series", "connected_series",
            "euler_characteristic"]
 
-# The largest loop order accepted: the cost grows about as loops^4, so a
-# 1000-loop table would take days.
+# The largest loop order accepted: the cost grows about as loops^3.8 (lie
+# takes 5.8 s at 80 loops and 81 s at 160 on a 2-vCPU VM), so a 1000-loop
+# table would take about a day.
 MAX_LOOPS = 1000
 
 
@@ -50,8 +51,7 @@ def all_graphs_series(species: Species, loops: int) -> TSeries:
         raise UsageError("max-loops must be >= 2")
     if loops > MAX_LOOPS:
         raise UsageError(f"max-loops must be <= {MAX_LOOPS}")
-    exponent = build_exponent(species, 2 * (loops - 1))
-    return substitute_moments(exponent.exp())
+    return vertex_count_sum(species, loops - 1)
 
 
 def connected_series(g: TSeries) -> TSeries:

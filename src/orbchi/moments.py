@@ -8,17 +8,24 @@ arithmetic; no integral is ever evaluated numerically here.
 The pipeline steps around this module:
 
 1. ``build_exponent``   -- the vertex generating polynomial -q_n s^(n-2) y^n,
-   one term per admissible valence n >= 3, in variables (s, y) with s^2 = t;
-2. ``BivariatePoly.exp`` -- its graded exponential (disjoint unions of
-   vertices), in ``series``, by the s-row recurrence
-   i h_i = sum_{k=1..i} (k e_k) h_{i-k} that follows from H' = E'H;
-3. ``substitute_moments`` -- replace each y^k by Ch_k, pairing up half-edges
-   into edges, which collapses the result to a univariate series in t.  It
-   streams over the rows of exp once, growing the Ch table as larger
-   y-degrees appear and holding no copy of the terms, so those rows are the
-   pipeline's peak memory;
-4. ``TSeries.log`` -- keep the connected graphs, in ``series``, by the
+   one term a_k s^k y^(k+2) per admissible valence n = k + 2 >= 3, in
+   variables (s, y) with s^2 = t;
+2. ``vertex_count_sum`` -- its graded exponential (disjoint unions of
+   vertices) with each y^j replaced by Ch_j, pairing up half-edges into
+   edges, which collapses it to a univariate series in t.  As E = y^2 A(sy)
+   with A(x) = sum_k a_k x^k, the part of exp(E) with v vertices is
+   y^(2v) A(sy)^v / v!, so the sum runs over v, one column A^v / v! at a
+   time, made from the last by one product with A and substituted as soon
+   as it is made.  Two columns of at most s_cutoff + 1 coefficients are the
+   step's whole memory;
+3. ``TSeries.log`` -- keep the connected graphs, in ``series``, by the
    recurrence c_m = g_m - (1/m) sum_{k=1..m-1} k c_k g_{m-k}.
+
+``BivariatePoly.exp`` (the s-row recurrence i h_i = sum_{k=1..i} (k e_k)
+h_{i-k} that follows from H' = E'H, in ``series``) followed by
+``substitute_moments`` computes step 2 for any bivariate polynomial, at the
+cost of holding every s-row of exp(E); the tests keep it as the reference
+route for ``vertex_count_sum``.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from .series import BivariatePoly, TSeries
 if TYPE_CHECKING:  # pragma: no cover
     from .species import Species
 
-__all__ = ["gaussian_moment", "build_exponent", "substitute_moments"]
+__all__ = ["gaussian_moment", "build_exponent", "substitute_moments", "vertex_count_sum"]
 
 
 def gaussian_moment(k: int) -> int:
@@ -81,3 +88,38 @@ def substitute_moments(p: BivariatePoly) -> TSeries:
             raise ValueError("half-integer power of t")
         out[i // 2] += c * ch[j]
     return TSeries(out)
+
+
+def vertex_count_sum(species: Species, order: int) -> TSeries:
+    """All-graphs series to t^order: ``substitute_moments(E.exp())`` summed
+    one vertex count at a time, for E = ``build_exponent(species, 2 * order)``.
+
+    E holds one term a_k s^k y^(k+2) per s-degree k, so E = y^2 A(sy) with
+    A(x) = sum_k a_k x^k, and the v-vertex part of exp(E) is y^(2v) P_v(sy)
+    with P_v = A^v / v!: its s^i term sits at y-degree i + 2v and adds
+    Ch_(i+2v) P_v[i] to t^(i/2).  Each column comes from the last,
+    P_v[i] = (1/v) sum_k a_k P_(v-1)[i-k], so only two columns of at most
+    2 * order + 1 coefficients are ever live.  Odd i adds nothing (an odd
+    moment) but stays for the later columns.
+    """
+    n = 2 * order
+    # (k, a_k) in rising k: items() walks the s-rows in order, one term each
+    a = [(k, c) for (k, _), c in build_exponent(species, n).items()]
+    ch = [1]  # ch[m] = Ch_(2m) = (2m-1)!!, up to the top y-degree 3n
+    for m in range(1, 3 * order + 1):
+        ch.append((2 * m - 1) * ch[-1])
+    g = [Fraction(0)] * (order + 1)
+    v, col = 0, {0: Fraction(1)}  # P_0 = 1; a column maps s-degree to coefficient
+    while col:  # P_v is empty once v > n, or at once when E = 0
+        for i, c in col.items():
+            if not i % 2:
+                g[i // 2] += ch[i // 2 + v] * c
+        v += 1
+        acc: dict[int, Fraction] = {}
+        for j, c in col.items():
+            for k, ak in a:
+                if j + k > n:
+                    break
+                acc[j + k] = acc.get(j + k, 0) + ak * c
+        col = {i: c / v for i, c in acc.items() if c}
+    return TSeries(g)

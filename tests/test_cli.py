@@ -216,6 +216,18 @@ class TestCompute:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert len(err) < 300
 
+    @pytest.mark.parametrize("text", [None, '{"name": "x", "Q": {"3": 1, "5": 1}}'],
+                             ids=["unreadable", "malformed"])
+    def test_species_file_path_with_newline_on_one_line(self, capsys, tmp_path, text):
+        f = tmp_path / "a\nb.json"
+        if text is not None:
+            f.write_text(text)
+        code, out, err = run(capsys, "compute", "--species", f"file:{f}")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert repr(str(f)) in err
+
     def test_other_exception_is_one_line_exit_1(self, capsys, monkeypatch):
         def boom(*args, **kwargs):
             raise ZeroDivisionError("division by zero")
@@ -346,6 +358,20 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert message in err
+
+    @pytest.mark.parametrize("t", ["1e-7", "1e-20", "5e-324"])
+    def test_analytic_t_below_floor_usage(self, capsys, t):
+        code, out, err = run(capsys, "verify", "analytic", "--t", t)
+        assert code == 2
+        assert out == ""
+        assert err == "error: t must be at least 1e-6: below it the float " \
+                      "log-gamma expression carries no information\n"
+
+    def test_analytic_at_t_floor_runs(self, capsys):
+        code, out, err = run(capsys, "verify", "analytic", "--t", "1e-6")
+        assert code in (0, 1)  # a report either way, not a usage error
+        assert out.startswith("t=1e-06 terms=3\n")
+        assert err == ""
 
     def test_equality(self, capsys):
         code, out, _ = run(capsys, "verify", "equality")

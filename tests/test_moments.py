@@ -1,15 +1,19 @@
 """Unit tests for Gaussian moments and the y^k -> Ch_k substitution."""
 
+import json
+import random
 import tracemalloc
 from fractions import Fraction as F
 
 import pytest
 import sympy
 
-from orbchi.moments import build_exponent, gaussian_moment, substitute_moments
+from orbchi.euler import all_graphs_series
+from orbchi.moments import (build_exponent, gaussian_moment, substitute_moments,
+                            vertex_count_sum)
 from orbchi.oracle import _pairing_counts
 from orbchi.series import BivariatePoly, TSeries
-from orbchi.species import builtin_species
+from orbchi.species import Species, builtin_species, species_from_file
 
 
 class TestGaussianMoment:
@@ -167,3 +171,57 @@ class TestSubstituteMoments:
         finally:
             tracemalloc.stop()
         assert peak - size <= 0.25 * size, (peak - size) / size
+
+
+def _bivariate_route(species, s_cutoff):
+    return substitute_moments(build_exponent(species, s_cutoff).exp())
+
+
+class TestVertexCountSum:
+    """The streamed sum over vertex counts against exp, then substitution."""
+
+    @pytest.mark.parametrize("name", ["commutative", "associative", "lie", "chord"])
+    def test_builtins_match_bivariate_route(self, name):
+        sp = builtin_species(name)
+        for s_cutoff in range(0, 41, 2):
+            assert vertex_count_sum(sp, s_cutoff // 2) == _bivariate_route(sp, s_cutoff)
+
+    @pytest.mark.parametrize("seed", range(1, 11))
+    def test_seeded_file_species_match_bivariate_route(self, tmp_path, seed):
+        # Q_3..Q_22 random nonzero rationals of either sign, read from a file
+        rng = random.Random(seed)
+        counts = {str(n): f"{rng.choice((-1, 1)) * rng.randint(1, 40)}/{rng.randint(1, 40)}"
+                  for n in range(3, 23)}
+        path = tmp_path / "seeded.json"
+        path.write_text(json.dumps({"name": f"seeded-{seed}", "Q": counts}))
+        sp = species_from_file(path)
+        for s_cutoff in range(0, 21, 2):
+            assert vertex_count_sum(sp, s_cutoff // 2) == _bivariate_route(sp, s_cutoff)
+
+    def test_zero_species(self):
+        sp = Species("zero", lambda n: F(0))
+        assert vertex_count_sum(sp, 5) == _bivariate_route(sp, 10) == TSeries([1, 0, 0, 0, 0, 0])
+
+    def test_coverage_error_names_required_n(self, tmp_path):
+        f = tmp_path / "short.json"
+        f.write_text('{"name": "short", "Q": {"3": 1, "4": 1}}')
+        with pytest.raises(ValueError, match="n=6"):
+            vertex_count_sum(species_from_file(f), 2)
+
+    def test_holds_two_columns_not_the_exp_rows(self):
+        # only two vertex-count columns are live at once, so the traced peak
+        # stays far below the rows of exp(E) that the bivariate route builds
+        # (1.09 x those rows when the pipeline built them)
+        sp = builtin_species("lie")
+        tracemalloc.start()
+        try:
+            h = build_exponent(sp, 80).exp()
+            rows = tracemalloc.get_traced_memory()[0]
+            del h
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            all_graphs_series(sp, 41)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * rows, peak / rows
