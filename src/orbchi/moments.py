@@ -77,16 +77,14 @@ def substitute_moments(p: BivariatePoly) -> TSeries:
     """
     if p.s_cutoff % 2:
         raise ValueError("moment substitution needs an even s_cutoff")
-    ch = [1, 0]  # Ch_j = (j-1) Ch_{j-2}, grown as larger y-degrees appear
     out = [Fraction(0)] * (p.s_cutoff // 2 + 1)
     for (i, j), c in p.items():  # one pass: no copy of the terms is held
-        while len(ch) <= j:
-            ch.append((len(ch) - 1) * ch[-2])
-        if not ch[j]:
+        ch = gaussian_moment(j)
+        if not ch:
             continue
         if i % 2:
             raise ValueError("half-integer power of t")
-        out[i // 2] += c * ch[j]
+        out[i // 2] += c * ch
     return TSeries(out)
 
 

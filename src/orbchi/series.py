@@ -1,25 +1,28 @@
 """Exact truncated series arithmetic over the rationals.
 
-Two carriers cover everything the Euler-characteristic pipeline needs:
+Two carriers cover everything the Euler-characteristic pipeline needs, and
+both store the same rows: row i is a sparse map from a ``y``-degree to a
+nonzero ``Fraction``.
 
 ``BivariatePoly``
     a polynomial in the formal variables ``s`` and ``y``, truncated at a fixed
-    maximum ``s``-degree and stored as its s-rows: one sparse map from
-    ``y``-degree to nonzero ``Fraction`` per ``s``-degree 0..s_cutoff.  The
-    ``y``-degree is never truncated; all inputs produced by the pipeline keep
-    it finitely bounded per ``s``-degree.
+    maximum ``s``-degree; row i holds the ``s^i`` terms, for i = 0..s_cutoff.
+    The ``y``-degree is never truncated; all inputs produced by the pipeline
+    keep it finitely bounded per ``s``-degree.
 
 ``TSeries``
-    a truncated univariate power series in ``t`` with rational coefficients,
-    stored densely as a coefficient tuple of length ``order + 1``.
+    a truncated univariate power series in ``t``; row m holds the
+    coefficient of ``t^m`` at ``y``-degree 0 (``{0: c}``, or ``{}`` for zero),
+    for m = 0..order.
 
-Both exponentials and the logarithm use the derivative recurrences of
-power-series algebra (Knuth, TAOCP vol. 2, sec. 4.7; Flajolet and Sedgewick,
-*Analytic Combinatorics*, ch. II), not power sums:
+So ``==``, ``+``, ``*`` and the exponential are written once, on rows, and
+both carriers inherit them.  The exponential and the logarithm use the
+derivative recurrences of power-series algebra (Knuth, TAOCP vol. 2,
+sec. 4.7; Flajolet and Sedgewick, *Analytic Combinatorics*, ch. II), not
+power sums:
 
-* H = exp(E) satisfies H' = E'H in s, so its s-rows obey
-  i h_i = sum_{k=1..i} (k e_k) h_{i-k}; ``_exp_rows`` runs this for both
-  ``BivariatePoly.exp`` and ``TSeries.exp``;
+* H = exp(E) satisfies H' = E'H in s (or t), so its rows obey
+  i h_i = sum_{k=1..i} (k e_k) h_{i-k}; ``_exp_rows`` runs this;
 * C = log(G) satisfies G C' = G', so
   c_m = g_m - (1/m) sum_{k=1..m-1} k c_k g_{m-k}.
 
@@ -28,8 +31,10 @@ Each costs O(N^2) row products for N rows.
 The operations are ``==``; ``+`` and ``*`` of two carriers of one kind,
 truncated to the smaller cutoff or order; ``p * c`` for an exact scalar ``c``,
 on the right only (``c * p`` is a ``TypeError``); ``exp``; ``TSeries.log``;
-and ``repr``.  Terms are read through ``BivariatePoly.items`` and
-``s_cutoff``, coefficients through ``TSeries[m]`` and ``order``.
+and ``repr``.  The two kinds never mix: ``+`` and ``*`` between them are a
+``TypeError`` and ``==`` is false.  Terms are read through
+``BivariatePoly.items`` and ``s_cutoff``, coefficients through ``TSeries[m]``
+and ``order``.
 
 All coefficients are exact ``fractions.Fraction`` values; no floating point
 enters this module.  Values are immutable after construction and every
@@ -76,15 +81,65 @@ def _exp_rows(rows: list[dict[int, Fraction]]) -> list[dict[int, Fraction]]:
     return h
 
 
-class BivariatePoly:
-    """Sparse polynomial in (s, y), truncated above a fixed s-degree.
+class _Rows:
+    """Rows 0..N, each mapping a y-degree to a nonzero coefficient.
 
-    Stored as s-rows: row i maps a y-degree j to the nonzero coefficient of
-    s^i y^j, for i = 0..s_cutoff.  Binary operations pair rows by s-degree
-    and truncate to the smaller cutoff of the two operands.
+    Binary operations pair rows by index, truncate to the shorter operand and
+    accept only an operand of exactly the same type (or, for ``*``, an exact
+    scalar on the right).
     """
 
     __slots__ = ("_rows",)
+
+    @classmethod
+    def _from_rows(cls, rows: list[dict[int, Fraction]]):
+        """Wrap rows that hold no zero coefficient, without copying them."""
+        p = cls.__new__(cls)
+        p._rows = rows
+        return p
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._rows == other._rows
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        rows = [dict(row) for row in self._rows[: len(other._rows)]]
+        for acc, row in zip(rows, other._rows):
+            for j, c in row.items():
+                acc[j] = acc.get(j, 0) + c
+        return self._from_rows([{j: c for j, c in r.items() if c} for r in rows])
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            rows = [{j: other * c for j, c in row.items()} for row in self._rows]
+        elif type(other) is type(self):
+            n = min(len(self._rows), len(other._rows))
+            rows = [{} for _ in range(n)]
+            for i1, r1 in enumerate(self._rows[:n]):
+                for i2, r2 in enumerate(other._rows[: n - i1]):
+                    _add_product(rows[i1 + i2], r1, r2)
+        else:
+            return NotImplemented
+        return self._from_rows([{j: c for j, c in r.items() if c} for r in rows])
+
+    def _exp(self, error: str):
+        """exp by ``_exp_rows``; row 0 must be empty, else ValueError(error)."""
+        if self._rows[0]:
+            raise ValueError(error)
+        return self._from_rows(_exp_rows(self._rows))
+
+
+class BivariatePoly(_Rows):
+    """Sparse polynomial in (s, y), truncated above a fixed s-degree.
+
+    Row i maps a y-degree j to the nonzero coefficient of s^i y^j, for
+    i = 0..s_cutoff.
+    """
+
+    __slots__ = ()
 
     def __init__(self, terms: Mapping[tuple[int, int], Fraction | int], s_cutoff: int):
         if s_cutoff < 0:
@@ -98,13 +153,6 @@ class BivariatePoly:
                 rows[i][j] = coeff
         self._rows = rows
 
-    @classmethod
-    def _from_rows(cls, rows: list[dict[int, Fraction]]) -> BivariatePoly:
-        """Wrap rows that hold no zero coefficient, without copying them."""
-        p = cls.__new__(cls)
-        p._rows = rows
-        return p
-
     @property
     def s_cutoff(self) -> int:
         return len(self._rows) - 1
@@ -112,95 +160,41 @@ class BivariatePoly:
     def items(self) -> Iterator[tuple[tuple[int, int], Fraction]]:
         return (((i, j), c) for i, row in enumerate(self._rows) for j, c in row.items())
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BivariatePoly):
-            return NotImplemented
-        return self._rows == other._rows
-
-    def __add__(self, other) -> BivariatePoly:
-        if not isinstance(other, BivariatePoly):
-            return NotImplemented
-        rows = [dict(row) for row in self._rows[: len(other._rows)]]
-        for acc, row in zip(rows, other._rows):
-            for j, c in row.items():
-                acc[j] = acc.get(j, 0) + c
-        return BivariatePoly._from_rows([{j: c for j, c in r.items() if c} for r in rows])
-
-    def __mul__(self, other) -> BivariatePoly:
-        if isinstance(other, (int, Fraction)):
-            rows = [{j: other * c for j, c in row.items()} for row in self._rows]
-        elif isinstance(other, BivariatePoly):
-            n = min(len(self._rows), len(other._rows))
-            rows = [{} for _ in range(n)]
-            for i1, r1 in enumerate(self._rows[:n]):
-                for i2, r2 in enumerate(other._rows[: n - i1]):
-                    _add_product(rows[i1 + i2], r1, r2)
-        else:
-            return NotImplemented
-        return BivariatePoly._from_rows([{j: c for j, c in r.items() if c} for r in rows])
-
     def exp(self) -> BivariatePoly:
         """Graded exponential sum_{k} self^k / k!, truncated at the s-cutoff.
 
         Requires every term to have s-degree >= 1 (in particular no constant
         term), which makes each coefficient of the result a finite sum: the
-        k-th power only reaches s-degrees >= k.  ``_exp_rows`` runs the
-        recurrence i h_i = sum_k (k e_k) h_{i-k} on the carrier's own rows.
+        k-th power only reaches s-degrees >= k.
         """
-        if self._rows[0]:
-            raise ValueError("exponential not graded-finite")
-        return BivariatePoly._from_rows(_exp_rows(self._rows))
+        return self._exp("exponential not graded-finite")
 
     def __repr__(self) -> str:
         return f"BivariatePoly({dict(self.items())!r}, s_cutoff={self.s_cutoff})"
 
 
-class TSeries:
-    """Univariate power series in t, truncated at a fixed order."""
+class TSeries(_Rows):
+    """Univariate power series in t, truncated at a fixed order.
 
-    __slots__ = ("_coeffs",)
+    Row m holds the coefficient of t^m at y-degree 0.
+    """
+
+    __slots__ = ()
 
     def __init__(self, coeffs: Iterable[Fraction | int]):
-        cs = tuple(_as_fraction(c) for c in coeffs)
-        if not cs:
+        rows = [{0: c} if c else {} for c in map(_as_fraction, coeffs)]
+        if not rows:
             raise ValueError("a truncated series needs at least the constant term")
-        self._coeffs = cs
+        self._rows = rows
 
     @property
     def order(self) -> int:
-        return len(self._coeffs) - 1
+        return len(self._rows) - 1
 
     def __getitem__(self, degree: int) -> Fraction:
         if not 0 <= degree <= self.order:
             raise IndexError(f"degree {degree} outside 0..{self.order}")
-        return self._coeffs[degree]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TSeries):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __add__(self, other) -> TSeries:
-        if not isinstance(other, TSeries):
-            return NotImplemented
-        n = min(self.order, other.order)
-        return TSeries(tuple(self._coeffs[m] + other._coeffs[m] for m in range(n + 1)))
-
-    def __mul__(self, other) -> TSeries:
-        if isinstance(other, (int, Fraction)):
-            return TSeries(tuple(other * v for v in self._coeffs))
-        if not isinstance(other, TSeries):
-            return NotImplemented
-        n = min(self.order, other.order)
-        out = [Fraction(0)] * (n + 1)
-        for p, a in enumerate(self._coeffs[: n + 1]):
-            if not a:
-                continue
-            for q in range(n + 1 - p):
-                b = other._coeffs[q]
-                if b:
-                    out[p + q] += a * b
-        return TSeries(out)
+        return self._rows[degree].get(0, Fraction(0))
 
     def log(self) -> TSeries:
         """sum_{k>=1} (-1)^(k+1) (self - 1)^k / k, truncated at the order.
@@ -208,7 +202,7 @@ class TSeries:
         Left inverse of :meth:`exp` on truncated series.  Computed by the
         recurrence c_m = g_m - (1/m) sum_{k=1..m-1} k c_k g_{m-k}.
         """
-        g = self._coeffs
+        g = [self[m] for m in range(len(self._rows))]
         if g[0] != 1:
             raise ValueError("log requires unit constant term")
         c = [Fraction(0)]
@@ -223,15 +217,8 @@ class TSeries:
         return TSeries(c)
 
     def exp(self) -> TSeries:
-        """sum_{k>=0} self^k / k!, truncated; requires zero constant term.
-
-        Computed by the same recurrence as :meth:`BivariatePoly.exp`, on
-        y-degree-0 rows.
-        """
-        if self._coeffs[0] != 0:
-            raise ValueError("exponential requires zero constant term")
-        h = _exp_rows([{0: c} if c else {} for c in self._coeffs])
-        return TSeries(row.get(0, Fraction(0)) for row in h)
+        """sum_{k>=0} self^k / k!, truncated; requires zero constant term."""
+        return self._exp("exponential requires zero constant term")
 
     def __repr__(self) -> str:
-        return f"TSeries({list(self._coeffs)!r})"
+        return f"TSeries({[self[m] for m in range(len(self._rows))]!r})"

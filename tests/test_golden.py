@@ -52,3 +52,34 @@ def test_lie_is_chi_of_out_fn():
     assert 0 < rs[0] and rs[-1] < 1
     for n, expected in ((3, 0.071), (20, 0.260), (60, 0.347)):
         assert ratio[n] == pytest.approx(expected, abs=5e-4), n
+
+
+def akiyama_tanigawa_bernoulli(top):
+    """B_0..B_top (with B_1 = +1/2), by the Akiyama-Tanigawa triangle."""
+    row, out = [], []
+    for m in range(top + 1):
+        row.append(Fraction(1, m + 1))
+        for j in range(m, 0, -1):
+            row[j - 1] = j * (row[j - 1] - row[j])
+        out.append(row[0])
+    return out
+
+
+def test_associative_splits_by_genus():
+    # Kontsevich/Penner: a ribbon graph of genus g with s faces has loop
+    # number n = 2g - 1 + s, so chi_n = sum_{2g-1+s=n} chi(M_{g,s}) / s!, with
+    # chi(M_{0,3}) = 1, chi(M_{g,1}) = -B_2g / 2g and
+    # chi(M_{g,s+1}) = (2 - 2g - s) chi(M_{g,s}) (Harer-Zagier)
+    loops = GOLDEN["loops"]
+    b = akiyama_tanigawa_bernoulli(loops)
+    chi = {}
+    for g in range(loops // 2 + 1):
+        s, value = (3, Fraction(1)) if g == 0 else (1, -b[2 * g] / (2 * g))
+        while 2 * g - 1 + s <= loops:
+            chi[g, s] = value
+            value *= 2 - 2 * g - s
+            s += 1
+    expected = GOLDEN["species"]["associative"]["connected"]
+    for n in range(2, loops + 1):
+        total = sum(c / math.factorial(s) for (g, s), c in chi.items() if 2 * g - 1 + s == n)
+        assert total == Fraction(expected[str(n)]), n

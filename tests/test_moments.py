@@ -150,7 +150,7 @@ class TestSubstituteMoments:
         assert lhs == rhs
 
     def test_y_degrees_out_of_order(self):
-        # row 0 needs Ch_6 before row 2 reads Ch_2 and Ch_3, then grows to Ch_8
+        # y-degrees arrive out of order: Ch_6 in row 0, then Ch_2, Ch_3 and Ch_8 in row 2
         p = BivariatePoly({(0, 6): 1, (1, 5): F(4), (2, 2): F(1, 2), (2, 3): F(7),
                            (2, 8): F(1, 105)}, 2)
         assert substitute_moments(p) == TSeries([15, F(3, 2)])

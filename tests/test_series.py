@@ -68,6 +68,16 @@ class TestBivariatePolyArithmetic:
         assert p + q == bp({(2, 2): 1}, 3)
         assert dict((p * F(4)).items()) == {(1, 1): F(2)}
 
+    def test_kinds_do_not_mix(self):
+        p, g = bp({(0, 0): 1, (1, 0): 1}, 1), TSeries([1, 1])
+        for a, b in ((p, g), (g, p)):
+            with pytest.raises(TypeError):
+                a + b
+            with pytest.raises(TypeError):
+                a * b
+            assert not a == b
+            assert a != b
+
     @pytest.mark.parametrize("scalar", [2, F(2)])
     def test_scalar_multiplies_on_the_right_only(self, scalar):
         for carrier in (bp({(1, 1): 1}, 3), TSeries([1, 1])):
@@ -152,13 +162,17 @@ class TestSeriesProperties:
     def test_tseries_log_matches_power_sum(self, g):
         assert g.log() == power_sum_log(g)
 
-    @given(graded_polys(), graded_polys(), graded_polys())
-    def test_mul_commutative_associative(self, a, b, c):
+    @given(st.one_of(st.tuples(graded_polys(), graded_polys(), graded_polys()),
+                     st.tuples(tseries(1), tseries(0), tseries(2))))
+    def test_mul_commutative_associative(self, abc):
+        a, b, c = abc
         assert a * b == b * a
         assert (a * b) * c == a * (b * c)
 
-    @given(graded_polys(), graded_polys())
-    def test_exp_additivity(self, e, f):
+    @given(st.one_of(st.tuples(graded_polys(), graded_polys()),
+                     st.tuples(tseries(0), tseries(0))))
+    def test_exp_additivity(self, ef):
+        e, f = ef
         assert (e + f).exp() == e.exp() * f.exp()
 
     @given(st.lists(small_fractions, min_size=1, max_size=8))
