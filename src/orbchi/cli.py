@@ -3,10 +3,13 @@
 Exit codes: 0 success / all checks pass, 1 computation error or failed
 check, 2 usage error.  Each handler builds its whole output and returns
 it with whether every check passed; ``main`` alone prints it and maps
-the result to an exit code.  The handlers hold no range checks and catch
-nothing: the library's own checks decide, raising ``UsageError`` for a
-request out of range, and ``main`` alone maps an exception to one
-``error:`` line on stderr and its exit code.
+the result to an exit code.  The comparison suites (bernoulli, oracle,
+equality) only build rows of two exact values; one renderer,
+``_compare``, makes the ``ok``/``MISMATCH`` lines and the pass flag.
+The handlers hold no range checks and catch nothing: the library's own
+checks decide, raising ``UsageError`` for a request out of range, and
+``main`` alone maps an exception to one ``error:`` line on stderr and
+its exit code.
 
 All rational output is exact ("p/q", or "p" when the denominator is 1)
 and printed in full through ``decimal``, without changing
@@ -68,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     compute = sub.add_parser("compute", help="compute a table of coefficients")
     compute.add_argument("--species", required=True, metavar="NAME|file:PATH")
-    compute.add_argument("--max-loops", type=int, default=11, dest="max_loops")
+    compute.add_argument("--max-loops", type=int, default=11)
     compute.add_argument("--all", action="store_true",
                          help="all-graphs series instead of connected")
     compute.add_argument("--format", choices=FORMATS, default="plain")
@@ -80,12 +83,12 @@ def _build_parser() -> argparse.ArgumentParser:
     suites = verify.add_subparsers(dest="suite", required=True)
 
     bern = suites.add_parser("bernoulli", help="closed form vs computed table")
-    bern.add_argument("--max-loops", type=int, default=11, dest="max_loops")
+    bern.add_argument("--max-loops", type=int, default=11)
     bern.set_defaults(handler=_cmd_verify_bernoulli)
 
     orc = suites.add_parser("oracle", help="pipeline vs brute-force enumeration")
     orc.add_argument("--species", required=True, metavar="NAME|file:PATH")
-    orc.add_argument("--max-loops", type=int, default=3, dest="max_loops")
+    orc.add_argument("--max-loops", type=int, default=3)
     orc.set_defaults(handler=_cmd_verify_oracle)
 
     ana = suites.add_parser("analytic", help="asymptotic expansion residual")
@@ -94,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ana.set_defaults(handler=_cmd_verify_analytic)
 
     eq = suites.add_parser("equality", help="associative vs commutative table")
-    eq.add_argument("--max-loops", type=int, default=11, dest="max_loops")
+    eq.add_argument("--max-loops", type=int, default=11)
     eq.set_defaults(handler=_cmd_verify_equality)
 
     return parser
@@ -164,15 +167,20 @@ def _latex_rational(v: Fraction) -> str:
     return f"{sign}\\frac{{{_exact(abs(v.numerator))}}}{{{_exact(v.denominator)}}}"
 
 
+def _compare(rows: list[tuple[str, Fraction, Fraction, str]]) -> tuple[list[str], bool]:
+    """Rows (text, left, right, miss) as "text ok" where left == right and
+    "text MISMATCH" + miss elsewhere, and whether every row is ok."""
+    same = [left == right for _, left, right, _ in rows]
+    return [f"{text} ok" if eq else f"{text} MISMATCH{miss}"
+            for eq, (text, _, _, miss) in zip(same, rows)], all(same)
+
+
 def _cmd_verify_bernoulli(args: argparse.Namespace) -> tuple[list[str], bool]:
-    lines, ok = [], True
-    for name in ("commutative", "associative"):
-        table = euler_characteristic(builtin_species(name), args.max_loops)
-        for check in verify_bernoulli(table):
-            status = "ok" if check.ok else f"MISMATCH expected {_exact(check.expected)}"
-            lines.append(f"{name} n={check.loops}: {_exact(check.value)} {status}")
-            ok = ok and check.ok
-    return lines, ok
+    return _compare([(f"{name} n={n}: {_exact(value)}", value, expected,
+                      f" expected {_exact(expected)}")
+                     for name in ("commutative", "associative")
+                     for n, value, expected in verify_bernoulli(
+                         euler_characteristic(builtin_species(name), args.max_loops))])
 
 
 def _cmd_verify_oracle(args: argparse.Namespace) -> tuple[list[str], bool]:
@@ -184,16 +192,11 @@ def _cmd_verify_oracle(args: argparse.Namespace) -> tuple[list[str], bool]:
                for m in range(1, args.max_loops)]
     series = all_graphs_series(sp, args.max_loops)
     connected = connected_series(series)
-    lines, ok = [], True
-    for m, (all_oracle, connected_oracle) in enumerate(oracles, start=1):
-        for label, pipeline, oracle in (("all-graphs", series[m], all_oracle),
-                                        ("connected", connected[m], connected_oracle)):
-            same = pipeline == oracle
-            status = "ok" if same else "MISMATCH"
-            lines.append(f"{label} m={m}: pipeline {_exact(pipeline)} "
-                         f"oracle {_exact(oracle)} {status}")
-            ok = ok and same
-    return lines, ok
+    return _compare([(f"{label} m={m}: pipeline {_exact(pipeline)} oracle {_exact(oracle)}",
+                      pipeline, oracle, "")
+                     for m, pair in enumerate(oracles, start=1)
+                     for label, pipeline, oracle in zip(("all-graphs", "connected"),
+                                                        (series[m], connected[m]), pair)])
 
 
 def _cmd_verify_analytic(args: argparse.Namespace) -> tuple[list[str], bool]:
@@ -209,16 +212,10 @@ def _cmd_verify_analytic(args: argparse.Namespace) -> tuple[list[str], bool]:
 
 
 def _cmd_verify_equality(args: argparse.Namespace) -> tuple[list[str], bool]:
-    assoc = euler_characteristic(builtin_species("associative"), args.max_loops)
-    comm = euler_characteristic(builtin_species("commutative"), args.max_loops)
-    lines, ok = [], True
-    for n in range(2, args.max_loops + 1):
-        same = assoc.entries[n] == comm.entries[n]
-        status = "ok" if same else "MISMATCH"
-        lines.append(f"n={n}: associative {_exact(assoc.entries[n])} "
-                     f"commutative {_exact(comm.entries[n])} {status}")
-        ok = ok and same
-    return lines, ok
+    assoc, comm = (euler_characteristic(builtin_species(name), args.max_loops)
+                   for name in ("associative", "commutative"))
+    return _compare([(f"n={n}: associative {_exact(a)} commutative {_exact(comm[n])}",
+                      a, comm[n], "") for n, a in assoc.entries.items()])
 
 
 if __name__ == "__main__":

@@ -380,6 +380,31 @@ class TestVerify:
         assert len(lines) == 10
         assert all(line.endswith("ok") for line in lines)
 
+    @pytest.mark.parametrize("patched, command, line", [
+        ("euler_characteristic", ("bernoulli", "--max-loops", "6"),
+         "associative n=4: 359/360 MISMATCH expected -1/360"),
+        ("euler_characteristic", ("equality", "--max-loops", "6"),
+         "n=4: associative 359/360 commutative -1/360 MISMATCH"),
+        ("oracle_connected_coefficient", ("oracle", "--species", "lie"),
+         "connected m=2: pipeline -1/48 oracle 47/48 MISMATCH"),
+    ], ids=["bernoulli", "equality", "oracle"])
+    def test_mismatch_line_and_exit_1(self, capsys, monkeypatch, patched, command, line):
+        # one value off by 1 gives exactly one MISMATCH line; every other line is ok
+        real = getattr(orbchi.cli, patched)
+
+        def off_by_one(species, *args, **kwargs):
+            result = real(species, *args, **kwargs)
+            if patched == "oracle_connected_coefficient":
+                return result + 1 if args[0] == 2 else result
+            if result.species_name == "associative":
+                result.entries[4] += 1
+            return result
+        monkeypatch.setattr(orbchi.cli, patched, off_by_one)
+        code, out, err = run(capsys, "verify", *command)
+        assert (code, err) == (1, "")
+        lines = out.splitlines()
+        assert [x for x in lines if not x.endswith(" ok")] == [line]
+
     def test_unknown_suite(self, capsys):
         code = main(["verify", "nothing"])
         assert code == 2

@@ -8,6 +8,7 @@ derivative recurrences replaced it, and agree with the Lagrange-inversion
 reference in ``bench/reference.py``.
 """
 
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from orbchi.euler import all_graphs_series, connected_series
+from orbchi.oracle import _block_shapes, _shape_partition_count
 from orbchi.species import builtin_species
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_60.json").read_text())
@@ -65,12 +67,10 @@ def akiyama_tanigawa_bernoulli(top):
     return out
 
 
-def test_associative_splits_by_genus():
-    # Kontsevich/Penner: a ribbon graph of genus g with s faces has loop
-    # number n = 2g - 1 + s, so chi_n = sum_{2g-1+s=n} chi(M_{g,s}) / s!, with
-    # chi(M_{0,3}) = 1, chi(M_{g,1}) = -B_2g / 2g and
-    # chi(M_{g,s+1}) = (2 - 2g - s) chi(M_{g,s}) (Harer-Zagier)
-    loops = GOLDEN["loops"]
+def moduli_chi(loops):
+    """chi(M_{g,s}) for every 2g - 1 + s <= loops, by chi(M_{0,3}) = 1,
+    chi(M_{g,1}) = -B_2g / 2g and chi(M_{g,s+1}) = (2 - 2g - s) chi(M_{g,s})
+    (Harer-Zagier)."""
     b = akiyama_tanigawa_bernoulli(loops)
     chi = {}
     for g in range(loops // 2 + 1):
@@ -79,7 +79,75 @@ def test_associative_splits_by_genus():
             chi[g, s] = value
             value *= 2 - 2 * g - s
             s += 1
+    return chi
+
+
+def test_associative_splits_by_genus():
+    # Kontsevich/Penner: a ribbon graph of genus g with s faces has loop
+    # number n = 2g - 1 + s, so chi_n = sum_{2g-1+s=n} chi(M_{g,s}) / s!
+    loops = GOLDEN["loops"]
+    chi = moduli_chi(loops)
     expected = GOLDEN["species"]["associative"]["connected"]
     for n in range(2, loops + 1):
         total = sum(c / math.factorial(s) for (g, s), c in chi.items() if 2 * g - 1 + s == n)
         assert total == Fraction(expected[str(n)]), n
+
+
+def pairings(free):
+    """Every perfect matching of the half-edges in ``free``, as a list of pairs."""
+    if not free:
+        yield []
+        return
+    for i, partner in enumerate(free[1:], start=1):
+        for rest in pairings(free[1:i] + free[i + 1:]):
+            yield [(free[0], partner), *rest]
+
+
+def orbit_count(*perms):
+    """Number of orbits of the group the permutations of range(k) generate,
+    each given as a list or dict h -> image."""
+    seen, count = set(), 0
+    for start in range(len(perms[0])):
+        if start not in seen:
+            count += 1
+            seen.add(start)
+            stack = [start]
+            while stack:
+                h = stack.pop()
+                for p in perms:
+                    if p[h] not in seen:
+                        seen.add(p[h])
+                        stack.append(p[h])
+    return count
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_associative_splits_by_face_count(m):
+    # Kontsevich: the connected ribbon graphs with e - v = m, split by genus g
+    # and face count s, sum to chi(M_{g,s}) / s!.  The consecutive partition
+    # of each block shape stands for all #partitions of that shape, and each
+    # block's standard cyclic order sigma for its (n_b - 1)! cyclic orders:
+    # relabelling half-edges maps one onto another and permutes the pairings.
+    # The edges are the pairing iota, the faces the cycles of sigma after
+    # iota, and v - e + s = 2 - 2g
+    sums = {}
+    for e in range(m + 1, 3 * m + 1):
+        v = e - m
+        for shape in _block_shapes(2 * e, v):
+            sigma = [h + 1 if h + 1 < end else end - size
+                     for size, end in zip(shape, itertools.accumulate(shape))
+                     for h in range(end - size, end)]
+            weight = Fraction((-1) ** v * _shape_partition_count(shape)
+                              * math.prod(math.factorial(n - 1) for n in shape),
+                              math.factorial(2 * e))
+            for pairs in pairings(tuple(range(2 * e))):
+                iota = dict(pairs + [(b, a) for a, b in pairs])
+                if orbit_count(sigma, iota) == 1:
+                    s = orbit_count([sigma[iota[h]] for h in range(2 * e)])
+                    key = ((2 - v + e - s) // 2, s)
+                    sums[key] = sums.get(key, 0) + weight
+    chi = moduli_chi(m + 1)
+    assert sums == {(g, s): c / math.factorial(s) for (g, s), c in chi.items()
+                    if 2 * g - 1 + s == m + 1}
+    connected = connected_series(all_graphs_series(builtin_species("associative"), m + 1))
+    assert sum(sums.values()) == connected[m]
