@@ -185,11 +185,11 @@ def _cmd_verify_bernoulli(args: argparse.Namespace) -> tuple[list[str], bool]:
 
 def _cmd_verify_oracle(args: argparse.Namespace) -> tuple[list[str], bool]:
     sp = _species(args.species)
-    # the oracle sums come first, so an order past their budget fails
-    # before the pipeline runs
+    # the oracle sums come first, the highest order first, so an order past
+    # the oracle's loop cap fails before any enumeration or pipeline run
     oracles = [(oracle_all_graphs_coefficient(sp, m, 3 * m),
                 oracle_connected_coefficient(sp, m, 3 * m))
-               for m in range(1, args.max_loops)]
+               for m in range(args.max_loops - 1, 0, -1)][::-1]
     series = all_graphs_series(sp, args.max_loops)
     connected = connected_series(series)
     return _compare([(f"{label} m={m}: pipeline {_exact(pipeline)} oracle {_exact(oracle)}",

@@ -7,9 +7,10 @@ arithmetic; no integral is ever evaluated numerically here.
 
 The pipeline steps around this module:
 
-1. ``build_exponent``   -- the vertex generating polynomial -q_n s^(n-2) y^n,
+1. the exponent E       -- the vertex generating polynomial -q_n s^(n-2) y^n,
    one term a_k s^k y^(k+2) per admissible valence n = k + 2 >= 3, in
-   variables (s, y) with s^2 = t;
+   variables (s, y) with s^2 = t; ``vertex_count_sum`` reads its a_k
+   from the species, and ``build_exponent`` builds it as a polynomial;
 2. ``vertex_count_sum`` -- its graded exponential (disjoint unions of
    vertices) with each y^j replaced by Ch_j, pairing up half-edges into
    edges, which collapses it to a univariate series in t.  As E = y^2 A(sy)
@@ -92,17 +93,19 @@ def vertex_count_sum(species: Species, order: int) -> TSeries:
     """All-graphs series to t^order: ``substitute_moments(E.exp())`` summed
     one vertex count at a time, for E = ``build_exponent(species, 2 * order)``.
 
-    E holds one term a_k s^k y^(k+2) per s-degree k, so E = y^2 A(sy) with
-    A(x) = sum_k a_k x^k, and the v-vertex part of exp(E) is y^(2v) P_v(sy)
-    with P_v = A^v / v!: its s^i term sits at y-degree i + 2v and adds
-    Ch_(i+2v) P_v[i] to t^(i/2).  Each column comes from the last,
-    P_v[i] = (1/v) sum_k a_k P_(v-1)[i-k], so only two columns of at most
-    2 * order + 1 coefficients are ever live.  Odd i adds nothing (an odd
-    moment) but stays for the later columns.
+    E holds one term a_k s^k y^(k+2) per s-degree k, with a_k = -q_(k+2)
+    read from the species directly (no ``BivariatePoly`` is built).  So
+    E = y^2 A(sy) with A(x) = sum_k a_k x^k, and the v-vertex part of
+    exp(E) is y^(2v) P_v(sy) with P_v = A^v / v!: its s^i term sits at
+    y-degree i + 2v and adds Ch_(i+2v) P_v[i] to t^(i/2).  Each column
+    comes from the last, P_v[i] = (1/v) sum_k a_k P_(v-1)[i-k], so only
+    two columns of at most 2 * order + 1 coefficients are ever live.  Odd
+    i adds nothing (an odd moment) but stays for the later columns.
     """
     n = 2 * order
-    # (k, a_k) in rising k: items() walks the s-rows in order, one term each
-    a = [(k, c) for (k, _), c in build_exponent(species, n).items()]
+    species.check_coverage(n + 2)
+    # (k, a_k) in rising k, the nonzero terms of E's s-rows
+    a = [(k, -q) for k in range(1, n + 1) if (q := species.q(k + 2))]
     ch = [1]  # ch[m] = Ch_(2m) = (2m-1)!!, up to the top y-degree 3n
     for m in range(1, 3 * order + 1):
         ch.append((2 * m - 1) * ch[-1])

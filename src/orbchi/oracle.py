@@ -2,19 +2,25 @@
 
 A labeled graph on 2e half-edges is a pair (pairing, partition): the
 partition blocks are the vertices, the pairs are the edges.  Summing
-(-1)^v * weight / (2e)! over all such pairs gives the coefficient of t^m
-(m = e - v) in the all-graphs series; restricting to connected pairs
+(-1)^v * prod Q_n / (2e)! over all such pairs gives the coefficient of
+t^m (m = e - v) in the all-graphs series; restricting to connected pairs
 gives the connected series.
 
 Weight and connectivity depend on a partition only through its multiset
-of block sizes (its shape), so the sum runs over shapes.  The number of
-partitions of each shape comes from the multinomial formula.  One walk
-pairs the 2e half-edges one edge at a time and tracks which vertices of
-a canonical partition of the shape they join: every pairing counts for
-the all-graphs sum, and those that leave a single component count for
-the connected sum.  Partial pairings that leave the same free
-half-edges and the same component labels lead to identical sub-walks,
-so each such state is walked once and its counts reused.  No
+of block sizes (its shape), so the sum runs over shapes.  A shape with
+blocks n_1..n_v stands for (2e)! / (prod n_b! * prod mult!) partitions,
+where mult runs over the multiplicities of the sizes, so its weight is
+(-1)^v * prod q_n / prod mult! (q_n = Q_n / n!) times its pairing count.
+
+One walk counts the pairings.  Half-edges of one vertex are
+interchangeable, so a state is the sorted tuple of live components, each
+the sorted tuple of its vertices' free half-edge counts.  A step pairs
+one free half-edge of the first vertex of the first component with
+another of the same vertex (f - 1 ways) or with one of any other vertex
+w (f_w ways), merging two components in the latter case.  A component
+with no free half-edge left is closed; if another one is still live, the
+graph will not be connected.  Equal states have equal completions, so
+one module-level cache serves every shape, order and species.  No
 generating-function machinery is imported, so these sums are an
 independent check on the series pipeline.
 """
@@ -31,9 +37,11 @@ from .species import Species, UsageError
 
 __all__ = ["oracle_all_graphs_coefficient", "oracle_connected_coefficient"]
 
-# Joint (pairing, partition) enumeration is kept affordable by capping
-# the half-edge count; 2e <= 12 covers coefficients m <= 2 completely.
-JOINT_HALF_EDGE_LIMIT = 12
+# The largest loop number counted (m = e - v <= MAX_LOOPS - 1).  At 11
+# loops the walk meets 2e <= 60 half-edges: about 4-5 s for the first
+# species in a process on a 2-vCPU VM, and ~88k cached states (~35 MB)
+# that the cap also bounds for the life of the process.
+MAX_LOOPS = 11
 
 
 def oracle_all_graphs_coefficient(sp: Species, m: int, max_e: int) -> Fraction:
@@ -41,7 +49,7 @@ def oracle_all_graphs_coefficient(sp: Species, m: int, max_e: int) -> Fraction:
 
     Graphs with m = e - v exist only for m+1 <= e <= 3m, so the sum is
     complete once max_e >= 3m.  The empty graph adds 1 at m = 0.  Cost
-    is bounded by requiring 2 * max_e <= 12.
+    is bounded by requiring m + 1 <= MAX_LOOPS.
     """
     empty = Fraction(1) if m == 0 else Fraction(0)
     return empty + _shape_sum(sp, m, max_e, connected=False)
@@ -51,37 +59,34 @@ def oracle_connected_coefficient(sp: Species, m: int, max_e: int) -> Fraction:
     """Coefficient of t^m restricted to connected graphs.
 
     Only pairings that connect the vertices count.  Cost is bounded by
-    requiring 2 * max_e <= 12.
+    requiring m + 1 <= MAX_LOOPS.
     """
     return _shape_sum(sp, m, max_e, connected=True)
 
 
 def _shape_sum(sp: Species, m: int, max_e: int, connected: bool) -> Fraction:
-    """Sum of (-1)^v * #partitions * prod Q * #pairings / (2e)! over the
-    block shapes of every graph with e - v = m, counting all pairings or
-    only the connecting ones.
+    """Sum of (-1)^v * prod q_n / prod mult! * #pairings over the block
+    shapes of every graph with e - v = m, counting all pairings or only
+    the connecting ones.
 
     The arguments are checked before any enumeration starts, and each
-    valence a shape reads is checked by ``Species.structure_count``.
+    valence a shape reads is checked by ``Species.q``.
     """
     if m < 0:
         raise UsageError("m must be >= 0")
     if max_e < 3 * m:
         raise UsageError("incomplete sum")
-    if 2 * max_e > JOINT_HALF_EDGE_LIMIT:
-        raise UsageError(
-            f"joint enumeration budget is 2e <= {JOINT_HALF_EDGE_LIMIT}"
-        )
+    if m + 1 > MAX_LOOPS:
+        raise UsageError(f"the oracle counts graphs up to {MAX_LOOPS} loops "
+                         f"(m <= {MAX_LOOPS - 1})")
     total = Fraction(0)
     for e in range(m + 1, 3 * m + 1):
-        k = 2 * e
         v = e - m
-        sign = -1 if v % 2 else 1
-        for shape in _block_shapes(k, v):
-            weight = prod(sp.structure_count(size) for size in shape)
-            count = _pairing_counts(shape)[connected] if weight else 0
-            if count:
-                total += sign * _shape_partition_count(shape) * weight * count / factorial(k)
+        for shape in _block_shapes(2 * e, v):
+            weight = prod(map(sp.q, shape))
+            if weight:
+                count = _pairings(tuple(sorted((n,) for n in shape)))[connected]
+                total += (-1) ** v * weight * count / prod(map(factorial, Counter(shape).values()))
     return total
 
 
@@ -101,41 +106,26 @@ def _block_shapes(total: int, parts: int, largest: int | None = None) -> Iterato
 
 
 @lru_cache(maxsize=None)
-def _shape_partition_count(shape: tuple[int, ...]) -> int:
-    """Number of set partitions of {1..sum(shape)} with the given block sizes."""
-    k = sum(shape)
-    denom = prod(factorial(s) for s in shape)
-    denom *= prod(factorial(mult) for mult in Counter(shape).values())
-    return factorial(k) // denom
+def _pairings(state: tuple[tuple[int, ...], ...]) -> tuple[int, int]:
+    """(all, connected): the ways to pair every free half-edge of
+    ``state``, and those among them that leave one component.
 
-
-@lru_cache(maxsize=None)
-def _pairing_counts(shape: tuple[int, ...]) -> tuple[int, int]:
-    """(all, connected): the pairings of sum(shape) half-edges, and those
-    among them that connect the canonical partition of the shape.
-
-    The canonical partition takes blocks as consecutive runs; every
-    partition with the same shape sees the same counts, since relabeling
-    half-edges permutes pairings and preserves connectivity.  The walk
-    pairs the first free half-edge with each other free one in turn,
-    carrying each vertex's component label down.  A state is the free
-    half-edges and the labels; the pairings that complete it depend on
-    nothing else, so each distinct state is walked once.
+    ``state`` is a sorted tuple of components, each a sorted tuple of
+    free half-edge counts; a component with none left sorts first.  The
+    start state of a shape is ``tuple(sorted((n,) for n in shape))``.
     """
-    block_of = [idx for idx, size in enumerate(shape) for _ in range(size)]
-
-    @lru_cache(maxsize=None)
-    def walk(free: tuple[int, ...], label: tuple[int, ...]) -> tuple[int, int]:
-        if not free:
-            return 1, int(len(set(label)) == 1)
-        first, rest = free[0], free[1:]
-        total = connected = 0
-        for i, partner in enumerate(rest):
-            a, b = label[block_of[first]], label[block_of[partner]]
-            merged = tuple(a if c == b else c for c in label)
-            all_, conn = walk(rest[:i] + rest[i + 1:], merged)
-            total += all_
-            connected += conn
-        return total, connected
-
-    return walk(tuple(range(len(block_of))), tuple(range(len(shape))))
+    if not state:
+        return 1, 0
+    if not any(state[0]):  # closed: connected only if nothing else is live
+        return (1, 1) if len(state) == 1 else (_pairings(state[1:])[0], 0)
+    head = (state[0][0] - 1,) + state[0][1:]
+    live = (head,) + state[1:]
+    moves: Counter = Counter()
+    for c, comp in enumerate(live):
+        for w, f in enumerate(comp):
+            if f:  # w pairs with the head vertex, and w's component joins the first
+                joined = comp[:w] + (f - 1,) + comp[w + 1:] + (head if c else ())
+                rest = live[1:c] + live[c + 1:]
+                moves[tuple(sorted(rest + (tuple(sorted(x for x in joined if x)),)))] += f
+    done = [(ways, _pairings(nxt)) for nxt, ways in moves.items()]
+    return sum(w * a for w, (a, _) in done), sum(w * c for w, (_, c) in done)

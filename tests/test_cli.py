@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import orbchi.cli
+import orbchi.oracle
 from orbchi.cli import FORMATS, main
 from orbchi.euler import euler_characteristic
 from orbchi.species import species_from_file
@@ -333,11 +334,23 @@ class TestVerify:
                 assert f"n={2 * loops} is required" in err
 
     def test_oracle_budget(self, capsys):
+        # refused before the pairing walk is first entered
+        before = orbchi.oracle._pairings.cache_info()
         code, out, err = run(capsys, "verify", "oracle", "--species", "commutative",
-                             "--max-loops", "4")
+                             "--max-loops", "12")
         assert code == 2
         assert out == ""
-        assert "2e <= 12" in err
+        assert err == "error: the oracle counts graphs up to 11 loops (m <= 10)\n"
+        assert orbchi.oracle._pairings.cache_info() == before
+
+    def test_oracle_at_the_loop_cap(self, capsys):
+        code, out, err = run(capsys, "verify", "oracle", "--species", "lie",
+                             "--max-loops", "11")
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert len(lines) == 20  # all-graphs and connected at m = 1..10
+        assert all(line.endswith(" ok") for line in lines)
+        assert lines[-1].startswith("connected m=10: ")
 
     def test_analytic(self, capsys):
         code, out, _ = run(capsys, "verify", "analytic")

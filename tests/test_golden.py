@@ -11,13 +11,14 @@ reference in ``bench/reference.py``.
 import itertools
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from orbchi.euler import all_graphs_series, connected_series
-from orbchi.oracle import _block_shapes, _shape_partition_count
+from orbchi.oracle import _block_shapes
 from orbchi.species import builtin_species
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_60.json").read_text())
@@ -125,11 +126,13 @@ def orbit_count(*perms):
 def test_associative_splits_by_face_count(m):
     # Kontsevich: the connected ribbon graphs with e - v = m, split by genus g
     # and face count s, sum to chi(M_{g,s}) / s!.  The consecutive partition
-    # of each block shape stands for all #partitions of that shape, and each
-    # block's standard cyclic order sigma for its (n_b - 1)! cyclic orders:
-    # relabelling half-edges maps one onto another and permutes the pairings.
-    # The edges are the pairing iota, the faces the cycles of sigma after
-    # iota, and v - e + s = 2 - 2g
+    # of each block shape stands for all (2e)! / (prod n_b! * prod mult!)
+    # partitions of that shape, and each block's standard cyclic order sigma
+    # for its (n_b - 1)! cyclic orders: relabelling half-edges maps one onto
+    # another and permutes the pairings.  Over (2e)!, a pairing so weighs
+    # (-1)^v / (prod n_b * prod mult!), the oracle's shape weight with
+    # q_n = 1/n.  The edges are the pairing iota, the faces the cycles of
+    # sigma after iota, and v - e + s = 2 - 2g
     sums = {}
     for e in range(m + 1, 3 * m + 1):
         v = e - m
@@ -137,9 +140,8 @@ def test_associative_splits_by_face_count(m):
             sigma = [h + 1 if h + 1 < end else end - size
                      for size, end in zip(shape, itertools.accumulate(shape))
                      for h in range(end - size, end)]
-            weight = Fraction((-1) ** v * _shape_partition_count(shape)
-                              * math.prod(math.factorial(n - 1) for n in shape),
-                              math.factorial(2 * e))
+            weight = Fraction((-1) ** v, math.prod(shape)
+                              * math.prod(map(math.factorial, Counter(shape).values())))
             for pairs in pairings(tuple(range(2 * e))):
                 iota = dict(pairs + [(b, a) for a, b in pairs])
                 if orbit_count(sigma, iota) == 1:

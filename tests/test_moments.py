@@ -11,7 +11,7 @@ import sympy
 from orbchi.euler import all_graphs_series
 from orbchi.moments import (build_exponent, gaussian_moment, substitute_moments,
                             vertex_count_sum)
-from orbchi.oracle import _pairing_counts
+from orbchi.oracle import _pairings
 from orbchi.series import BivariatePoly, TSeries
 from orbchi.species import Species, builtin_species, species_from_file
 
@@ -36,7 +36,7 @@ class TestGaussianMoment:
     def test_matches_pairing_enumeration(self):
         # independent cross-check against brute-force matching counts
         for k in range(13):
-            assert gaussian_moment(k) == _pairing_counts((k,))[0]
+            assert gaussian_moment(k) == _pairings(((k,),))[0]
 
     def test_table_recurrence(self):
         for k in range(2, 13, 2):

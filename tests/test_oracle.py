@@ -3,39 +3,55 @@
 import ast
 import json
 import random
+import tempfile
+from collections import Counter
 from fractions import Fraction as F
+from functools import lru_cache
 from math import factorial, prod
 from pathlib import Path
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 import orbchi.oracle
 from orbchi.euler import all_graphs_series, connected_series
 from orbchi.oracle import (
     _block_shapes,
-    _pairing_counts,
-    _shape_partition_count,
+    _pairings,
     oracle_all_graphs_coefficient,
     oracle_connected_coefficient,
 )
 from orbchi.species import Species, UsageError, builtin_species, species_from_file
 
 COMM = builtin_species("commutative")
+CAP = "the oracle counts graphs up to 11 loops"
 
 
-def partitions_by_blocks(k, sp=None):
-    """Min-3 set partitions of {1..k} keyed by block count, summed over the
-    oracle's block shapes; with a species, each is weighted by prod Q."""
+def partitions_by_blocks(k, sp=COMM):
+    """Min-3 set partitions of {1..k} keyed by block count, each weighted
+    by prod Q.  A block shape stands for k! / (prod n! * prod mult!) of
+    them, so it adds k! * prod q_n / prod mult!, k! times the oracle's
+    shape weight; the commutative species (Q = 1) just counts them."""
     out = {}
     for v in range(k // 3 + 1):
         for shape in _block_shapes(k, v):
-            w = _shape_partition_count(shape)
-            if sp is not None:
-                w *= prod(sp.structure_count(size) for size in shape)
+            w = factorial(k) * prod(map(sp.q, shape))
+            w /= prod(map(factorial, Counter(shape).values()))
             if w:
                 out[v] = out.get(v, 0) + w
     return out
+
+
+def pairing_counts(shape):
+    """The oracle's (all, connected) pairing counts of a block shape."""
+    return _pairings(tuple(sorted((n,) for n in shape)))
+
+
+def shapes_up_to(half_edges):
+    """Every block shape (blocks of at least 3) of at most ``half_edges``."""
+    return [shape for k in range(half_edges + 1) for v in range(k // 3 + 1)
+            for shape in _block_shapes(k, v)]
 
 
 def perfect_matchings(points):
@@ -69,6 +85,32 @@ def literal_pairing_counts(shape):
     return total, connected
 
 
+def per_vertex_pairing_counts(shape):
+    """(all, connected) by a walk on each vertex's free half-edge count
+    and component label, in vertex order: the first vertex u with a free
+    half-edge pairs one of them with any vertex w, f_w ways (f_u - 1 ways
+    when w = u), and w's component takes u's label."""
+    @lru_cache(maxsize=None)
+    def walk(free, label):
+        if not any(free):
+            return 1, int(len(set(label)) == 1)
+        u = next(i for i, f in enumerate(free) if f)
+        total = connected = 0
+        for w, f in enumerate(free):
+            ways = f - (w == u)
+            if ways:
+                nxt = list(free)
+                nxt[u] -= 1
+                nxt[w] -= 1
+                merged = tuple(label[u] if c == label[w] else c for c in label)
+                all_, conn = walk(tuple(nxt), merged)
+                total += ways * all_
+                connected += ways * conn
+        return total, connected
+
+    return walk(tuple(shape), tuple(range(len(shape))))
+
+
 class TestPairingCounts:
     @pytest.mark.parametrize("shape, counts", [
         ((4,), (3, 3)),
@@ -80,24 +122,43 @@ class TestPairingCounts:
     ])
     def test_hand_values(self, shape, counts):
         # e.g. (4, 4) loses the 3 * 3 pairings that keep each vertex to itself
-        assert _pairing_counts(shape) == counts
+        assert pairing_counts(shape) == counts
 
     def test_single_block(self):
         # one vertex: every pairing connects it, and there are (k-1)!!
         for k in range(0, 13, 2):
             pairings = prod(range(k - 1, 0, -2))
-            assert _pairing_counts((k,)) == (pairings, pairings)
+            assert pairing_counts((k,)) == (pairings, pairings)
         for k in range(1, 13, 2):
-            assert _pairing_counts((k,)) == (0, 0)
+            assert pairing_counts((k,)) == (0, 0)
 
     def test_matches_literal_enumeration(self):
         # every shape the oracle sums over, against a walk that lists each
-        # perfect matching and joins its vertices with a union-find
-        shapes = [shape for k in range(13) for v in range(k // 3 + 1)
-                  for shape in _block_shapes(k, v)]
-        assert len(shapes) == 35
+        # perfect matching and joins its vertices with a union-find; the
+        # empty graph has no component, a lone bare vertex has one
+        shapes = shapes_up_to(12) + [(0,)]
+        assert len(shapes) == 36 and () in shapes
+        assert literal_pairing_counts(()) == (1, 0)
+        assert literal_pairing_counts((0,)) == (1, 1)
         for shape in shapes:
-            assert _pairing_counts(shape) == literal_pairing_counts(shape), shape
+            assert pairing_counts(shape) == literal_pairing_counts(shape), shape
+
+    def test_matches_per_vertex_walk(self):
+        # a second reference, far enough to reach merges of merged components
+        shapes = shapes_up_to(18)
+        assert len(shapes) == 154
+        for shape in shapes:
+            assert pairing_counts(shape) == per_vertex_pairing_counts(shape), shape
+
+    def test_steps_by_hand(self):
+        # (3, 3): a half-edge of the first vertex pairs with one of its own
+        # (2 ways, leaving (1,) and (3,)) or with the other vertex (3 ways,
+        # leaving one component with two free half-edges at each vertex)
+        assert _pairings(((1,), (3,))) == (3, 3)
+        assert _pairings(((2, 2),)) == (3, 3)
+        assert pairing_counts((3, 3)) == (2 * 3 + 3 * 3, 2 * 3 + 3 * 3)
+        # a closed component while another is live: pairings, none connected
+        assert _pairings(((), (4,))) == (3, 0)
 
 
 class TestPartitions:
@@ -175,12 +236,15 @@ class TestPartitionWeights:
 @pytest.mark.parametrize("m, max_e, message", [
     (-1, 0, "m must be >= 0"),
     (2, 5, "incomplete sum"),
-    (3, 9, "2e <= 12"),  # raised before enumerating the 2e = 18 pairings
-    (1, 7, "2e <= 12"),
+    (11, 33, CAP),  # 12 loops
+    (20, 60, CAP),
 ])
 def test_argument_checks(oracle, m, max_e, message):
+    # every check is made before the pairing walk is first entered
+    before = _pairings.cache_info()
     with pytest.raises(UsageError, match=message):
         oracle(COMM, m, max_e)
+    assert _pairings.cache_info() == before
 
 
 class TestAllGraphsOracle:
@@ -202,7 +266,7 @@ class TestAllGraphsOracle:
                 == oracle_all_graphs_coefficient(COMM, 1, 6))
 
     @pytest.mark.parametrize("name", ["commutative", "associative", "lie", "chord"])
-    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("m", range(1, 7))
     def test_matches_pipeline(self, name, m):
         sp = builtin_species(name)
         series = all_graphs_series(sp, m + 1)
@@ -220,15 +284,15 @@ class TestConnectedOracle:
         assert oracle_connected_coefficient(builtin_species("lie"), 2, 6) == F(-1, 48)
 
     def test_budget_enforced(self):
-        with pytest.raises(ValueError, match="2e <= 12"):
-            oracle_connected_coefficient(COMM, 3, 9)
+        with pytest.raises(ValueError, match=CAP):
+            oracle_connected_coefficient(COMM, 11, 33)
 
     def test_incomplete_sum_rejected(self):
         with pytest.raises(ValueError, match="incomplete sum"):
             oracle_connected_coefficient(COMM, 2, 4)
 
     @pytest.mark.parametrize("name", ["commutative", "associative", "lie", "chord"])
-    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("m", range(1, 7))
     def test_matches_pipeline(self, name, m):
         sp = builtin_species(name)
         connected = connected_series(all_graphs_series(sp, m + 1))
@@ -236,19 +300,35 @@ class TestConnectedOracle:
 
 
 def _seeded_species(seed):
-    """Q_3..Q_12 random nonzero rationals of either sign."""
+    """Q_3..Q_14 random nonzero rationals of either sign."""
     rng = random.Random(seed)
     table = {n: F(rng.choice((-1, 1)) * rng.randint(1, 40), rng.randint(1, 40)) / factorial(n)
-             for n in range(3, 13)}
-    return Species(f"seeded-{seed}", lambda n: table[n], max_n=12)
+             for n in range(3, 15)}
+    return Species(f"seeded-{seed}", lambda n: table[n], max_n=14)
 
 
 @pytest.mark.parametrize("seed", range(1, 11))
 def test_seeded_species_match_pipeline(seed):
     sp = _seeded_species(seed)
-    series = all_graphs_series(sp, 3)
+    series = all_graphs_series(sp, 7)
     connected = connected_series(series)
-    for m in (1, 2):
+    for m in range(1, 7):
+        assert oracle_all_graphs_coefficient(sp, m, 3 * m) == series[m]
+        assert oracle_connected_coefficient(sp, m, 3 * m) == connected[m]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(st.integers(-40, 40), st.integers(1, 40)), min_size=8, max_size=8))
+def test_random_file_species_match_pipeline(counts):
+    # Q_3..Q_10 as "p/q" strings, zeros included, read back from a file
+    q = {str(n): f"{p}/{d}" for n, (p, d) in enumerate(counts, start=3)}
+    with tempfile.TemporaryDirectory() as tmp:
+        f = Path(tmp) / "sp.json"
+        f.write_text(json.dumps({"name": "random", "Q": q}))
+        sp = species_from_file(f)
+    series = all_graphs_series(sp, 5)
+    connected = connected_series(series)
+    for m in range(1, 5):
         assert oracle_all_graphs_coefficient(sp, m, 3 * m) == series[m]
         assert oracle_connected_coefficient(sp, m, 3 * m) == connected[m]
 
