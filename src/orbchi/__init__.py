@@ -1,17 +1,17 @@
 """Exact orbifold Euler characteristics of graph complexes.
 
-The pipeline: a vertex species assigns a count Q_n to each allowed
-vertex valence; a truncated two-variable expansion of
-exp(-(1/t) Q(sqrt(t) y)) followed by Gaussian-moment substitution
-y^k -> (k-1)!! produces the all-graphs series in t; its logarithm is
-the connected series whose coefficients are the Euler characteristics,
-one rational number per loop order.  A brute-force enumeration oracle,
-a Bernoulli-number closed form, and a log-gamma asymptotic check give
-three independent verification routes.
+The pipeline (``orbchi.euler``): a vertex species assigns a count Q_n
+to each allowed vertex valence; ``all_graphs_series`` expands
+exp(-(1/t) Q(sqrt(t) y)) one vertex count at a time, replacing each y^k
+by the Gaussian moment (k-1)!! as it goes, into the all-graphs series
+in t; its logarithm is the connected series whose coefficients are the
+Euler characteristics, one rational number per loop order.  A
+brute-force enumeration oracle, a Bernoulli-number closed form, and a
+log-gamma asymptotic check give three independent verification routes.
 """
 
 from .series import BivariatePoly, TSeries
-from .moments import build_exponent, gaussian_moment, substitute_moments
+from .moments import gaussian_moment, substitute_moments
 from .species import Species, UsageError, builtin_species, species_from_file
 from .euler import EulerTable, all_graphs_series, connected_series, euler_characteristic
 from .bernoulli import bernoulli_numbers, verify_bernoulli
@@ -24,7 +24,6 @@ __all__ = [
     "BivariatePoly",
     "TSeries",
     "gaussian_moment",
-    "build_exponent",
     "substitute_moments",
     "Species",
     "UsageError",

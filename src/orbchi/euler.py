@@ -6,6 +6,25 @@ automorphism-weighted graph count sum (-1)^v / |Aut(G)| over all graphs
 every vertex at least trivalent.  Taking the series logarithm restricts the
 sum to connected graphs, where the loop number is n = m + 1; the table is
 indexed by that loop number, for n = 2..loops.
+
+The pipeline has two steps:
+
+1. ``all_graphs_series`` -- the vertex exponent E = -sum_{n>=3} q_n s^(n-2)
+   y^n in variables (s, y) with s^2 = t, exponentiated (disjoint unions of
+   vertices) with each y^j replaced by the Gaussian moment Ch_j = (j-1)!!
+   (pairing up half-edges into edges).  E holds one term a_k s^k y^(k+2)
+   per s-degree k, with a_k = -q_(k+2), so E = y^2 A(sy) for
+   A(x) = sum_k a_k x^k and the v-vertex part of exp(E) is y^(2v) P_v(sy)
+   with P_v = A^v / v!.  Its s^i term sits at y-degree i + 2v and adds
+   Ch_(i+2v) P_v[i] to t^(i/2).  The sum runs over v, one column at a
+   time, each made from the last by P_v[i] = (1/v) sum_k a_k P_(v-1)[i-k],
+   so only two columns are ever live;
+2. ``connected_series`` -- ``TSeries.log``, by the recurrence
+   c_m = g_m - (1/m) sum_{k=1..m-1} k c_k g_{m-k}.
+
+``BivariatePoly.exp`` followed by ``moments.substitute_moments`` computes
+step 1 for any bivariate polynomial, holding every s-row of exp(E); the
+tests keep it as the reference route.
 """
 
 from __future__ import annotations
@@ -13,7 +32,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .moments import vertex_count_sum
 from .series import TSeries
 from .species import Species, UsageError
 
@@ -45,13 +63,36 @@ def all_graphs_series(species: Species, loops: int) -> TSeries:
     """Signed weighted count of all graphs, graded by m = edges - vertices.
 
     The result has order loops - 1 and constant term 1 (the empty graph);
-    loops must lie in 2..MAX_LOOPS.
+    loops must lie in 2..MAX_LOOPS, and the species must cover valences up
+    to 2 * loops.  Summed one vertex count at a time (step 1 above).
     """
     if loops < 2:
         raise UsageError("max-loops must be >= 2")
     if loops > MAX_LOOPS:
         raise UsageError(f"max-loops must be <= {MAX_LOOPS}")
-    return vertex_count_sum(species, loops - 1)
+    order = loops - 1
+    n = 2 * order
+    species.check_coverage(n + 2)
+    # (k, a_k) in rising k, the nonzero terms of E's s-rows
+    a = [(k, -q) for k in range(1, n + 1) if (q := species.q(k + 2))]
+    ch = [1]  # ch[m] = Ch_(2m) = (2m-1)!!, up to the top y-degree 3n
+    for m in range(1, 3 * order + 1):
+        ch.append((2 * m - 1) * ch[-1])
+    g = [Fraction(0)] * (order + 1)
+    v, col = 0, {0: Fraction(1)}  # P_0 = 1; a column maps s-degree to coefficient
+    while col:  # P_v is empty once v > n, or at once when E = 0
+        for i, c in col.items():
+            if not i % 2:
+                g[i // 2] += ch[i // 2 + v] * c
+        v += 1
+        acc: dict[int, Fraction] = {}
+        for j, c in col.items():
+            for k, ak in a:
+                if j + k > n:
+                    break
+                acc[j + k] = acc.get(j + k, 0) + ak * c
+        col = {i: c / v for i, c in acc.items() if c}
+    return TSeries(g)
 
 
 def connected_series(g: TSeries) -> TSeries:

@@ -188,9 +188,7 @@ def _int(text: str, context: str) -> int | None:
 
 
 def _parse_count(where: str, n: int, value) -> Fraction:
-    if isinstance(value, bool):
-        raise ValueError(f"species file {where}: Q_{n} must be an integer or 'p/q'")
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         num, sep, den = value.partition("/")

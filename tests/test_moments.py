@@ -1,19 +1,26 @@
 """Unit tests for Gaussian moments and the y^k -> Ch_k substitution."""
 
+import ast
 import json
 import random
 import tracemalloc
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 import sympy
 
+import orbchi.moments
 from orbchi.euler import all_graphs_series
-from orbchi.moments import (build_exponent, gaussian_moment, substitute_moments,
-                            vertex_count_sum)
+from orbchi.moments import gaussian_moment, substitute_moments
 from orbchi.oracle import _pairings
 from orbchi.series import BivariatePoly, TSeries
 from orbchi.species import Species, builtin_species, species_from_file
+
+
+def build_exponent(species, s_cutoff):
+    """The vertex exponent E = -sum_{n>=3} q_n s^(n-2) y^n, truncated at s_cutoff."""
+    return BivariatePoly({(n - 2, n): -species.q(n) for n in range(3, s_cutoff + 3)}, s_cutoff)
 
 
 class TestGaussianMoment:
@@ -42,29 +49,6 @@ class TestGaussianMoment:
         for k in range(2, 13, 2):
             assert gaussian_moment(k) == (k - 1) * gaussian_moment(k - 2)
         assert all(gaussian_moment(k) == 0 for k in range(1, 13, 2))
-
-
-class TestBuildExponent:
-    def test_commutative_small(self):
-        e = build_exponent(builtin_species("commutative"), 2)
-        assert dict(e.items()) == {(1, 3): F(-1, 6), (2, 4): F(-1, 24)}
-
-    def test_chord_small(self):
-        e = build_exponent(builtin_species("chord"), 2)
-        assert dict(e.items()) == {(2, 4): F(-1, 8)}
-
-    def test_cutoff_zero(self):
-        e = build_exponent(builtin_species("lie"), 0)
-        assert e == BivariatePoly({}, 0)
-
-    def test_coverage_error_names_required_n(self, tmp_path):
-        from orbchi.species import species_from_file
-
-        f = tmp_path / "short.json"
-        f.write_text('{"name": "short", "Q": {"3": 1, "4": 1}}')
-        sp = species_from_file(f)
-        with pytest.raises(ValueError, match="n=6"):
-            build_exponent(sp, 4)
 
 
 class TestExpandH:
@@ -183,8 +167,8 @@ class TestVertexCountSum:
     @pytest.mark.parametrize("name", ["commutative", "associative", "lie", "chord"])
     def test_builtins_match_bivariate_route(self, name):
         sp = builtin_species(name)
-        for s_cutoff in range(0, 41, 2):
-            assert vertex_count_sum(sp, s_cutoff // 2) == _bivariate_route(sp, s_cutoff)
+        for loops in range(2, 22):
+            assert all_graphs_series(sp, loops) == _bivariate_route(sp, 2 * loops - 2)
 
     @pytest.mark.parametrize("seed", range(1, 11))
     def test_seeded_file_species_match_bivariate_route(self, tmp_path, seed):
@@ -195,18 +179,18 @@ class TestVertexCountSum:
         path = tmp_path / "seeded.json"
         path.write_text(json.dumps({"name": f"seeded-{seed}", "Q": counts}))
         sp = species_from_file(path)
-        for s_cutoff in range(0, 21, 2):
-            assert vertex_count_sum(sp, s_cutoff // 2) == _bivariate_route(sp, s_cutoff)
+        for loops in range(2, 12):
+            assert all_graphs_series(sp, loops) == _bivariate_route(sp, 2 * loops - 2)
 
     def test_zero_species(self):
         sp = Species("zero", lambda n: F(0))
-        assert vertex_count_sum(sp, 5) == _bivariate_route(sp, 10) == TSeries([1, 0, 0, 0, 0, 0])
+        assert all_graphs_series(sp, 6) == _bivariate_route(sp, 10) == TSeries([1, 0, 0, 0, 0, 0])
 
     def test_coverage_error_names_required_n(self, tmp_path):
         f = tmp_path / "short.json"
         f.write_text('{"name": "short", "Q": {"3": 1, "4": 1}}')
         with pytest.raises(ValueError, match="n=6"):
-            vertex_count_sum(species_from_file(f), 2)
+            all_graphs_series(species_from_file(f), 3)
 
     def test_holds_two_columns_not_the_exp_rows(self):
         # only two vertex-count columns are live at once, so the traced peak
@@ -225,3 +209,17 @@ class TestVertexCountSum:
         finally:
             tracemalloc.stop()
         assert peak <= 0.25 * rows, peak / rows
+
+
+def test_moments_imports_only_series_from_package():
+    # the reference route sits below the pipeline: series <- moments <-
+    # species <- euler <- cli, with no import back up the chain
+    tree = ast.parse(Path(orbchi.moments.__file__).read_text(encoding="utf-8"))
+    relative = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level}
+    absolute = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    absolute |= {node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and not node.level}
+    assert relative == {"series"}
+    assert not any(name.split(".")[0] == "orbchi" for name in absolute)

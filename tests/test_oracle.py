@@ -194,9 +194,6 @@ class TestPartitions:
 
 
 class TestPartitionWeights:
-    def test_commutative_six(self):
-        assert partitions_by_blocks(6, COMM) == {1: F(1), 2: F(10)}
-
     def test_associative_six(self):
         assoc = builtin_species("associative")
         assert partitions_by_blocks(6, assoc) == {1: F(120), 2: F(40)}
@@ -207,17 +204,6 @@ class TestPartitionWeights:
             assert partitions_by_blocks(5, sp) == {1: sp.structure_count(5)}
         # chord kills odd blocks entirely
         assert partitions_by_blocks(5, builtin_species("chord")) == {}
-
-    def test_empty_ground_set(self):
-        assert partitions_by_blocks(0, COMM) == {0: F(1)}
-
-    def test_commutative_totals_match_egf(self):
-        x = sympy.symbols("x")
-        egf = sympy.exp(sympy.exp(x) - 1 - x - x ** 2 / 2)
-        series = sympy.series(egf, x, 0, 13).removeO()
-        for k in range(3, 13):
-            total = sum(partitions_by_blocks(k, COMM).values(), F(0))
-            assert total == int(series.coeff(x, k) * sympy.factorial(k))
 
     def test_coverage_error(self, tmp_path):
         # m = 1 reads Q_3 and Q_4 only: shapes (4) and (3, 3)

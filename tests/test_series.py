@@ -84,6 +84,16 @@ class TestBivariatePolyArithmetic:
             with pytest.raises(TypeError):
                 scalar * carrier
 
+    def test_floats_rejected(self):
+        # coefficients stay exact: a float is refused, not rounded into a Fraction
+        with pytest.raises(TypeError, match="exact rational, got float"):
+            TSeries([1, 0.5])
+        with pytest.raises(TypeError, match="exact rational, got float"):
+            bp({(0, 0): 0.5}, 1)
+        for carrier in (bp({(1, 1): 1}, 3), TSeries([1, 1])):
+            with pytest.raises(TypeError):
+                carrier * 0.5
+
 
 class TestGradedExp:
     def test_exp_sy(self):

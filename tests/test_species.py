@@ -193,6 +193,11 @@ class TestSpeciesFromFile:
         f = write_species(tmp_path, {"name": "x", "Q": {"3": 1.5}})
         with pytest.raises(ValueError, match="integer or 'p/q'"):
             species_from_file(f)
+        # a JSON boolean is no count, though Python's bool is an int
+        for value in (True, False):
+            f = write_species(tmp_path, {"name": "x", "Q": {"3": value}})
+            with pytest.raises(ValueError, match=f"integer or 'p/q', got {value}$"):
+                species_from_file(f)
 
     def test_low_valence_zero_allowed(self, tmp_path):
         f = write_species(tmp_path, {"name": "x", "Q": {"0": 0, "2": 0, "3": 5}})
