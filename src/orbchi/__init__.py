@@ -14,9 +14,8 @@ from .series import BivariatePoly, TSeries
 from .moments import gaussian_moment, substitute_moments
 from .species import Species, UsageError, builtin_species, species_from_file
 from .euler import EulerTable, all_graphs_series, connected_series, euler_characteristic
-from .bernoulli import bernoulli_numbers, verify_bernoulli
 from .oracle import oracle_all_graphs_coefficient, oracle_connected_coefficient
-from .analytic import check_commutative_asymptotics
+from .analytic import bernoulli_numbers, check_commutative_asymptotics, verify_bernoulli
 
 __version__ = "0.1.0"
 

@@ -27,8 +27,7 @@ from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 from functools import cache
 
-from .analytic import check_commutative_asymptotics
-from .bernoulli import verify_bernoulli
+from .analytic import check_commutative_asymptotics, verify_bernoulli
 from .euler import EulerTable, all_graphs_series, connected_series, euler_characteristic
 from .oracle import oracle_all_graphs_coefficient, oracle_connected_coefficient
 from .species import Species, UsageError, builtin_species, species_from_file

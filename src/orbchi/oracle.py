@@ -47,12 +47,11 @@ MAX_LOOPS = 11
 def oracle_all_graphs_coefficient(sp: Species, m: int, max_e: int) -> Fraction:
     """Coefficient of t^m in the all-graphs series, by direct counting.
 
-    Graphs with m = e - v exist only for m+1 <= e <= 3m, so the sum is
-    complete once max_e >= 3m.  The empty graph adds 1 at m = 0.  Cost
-    is bounded by requiring m + 1 <= MAX_LOOPS.
+    Graphs with m = e - v exist only for m <= e <= 3m, so the sum is
+    complete once max_e >= 3m.  Cost is bounded by requiring
+    m + 1 <= MAX_LOOPS.
     """
-    empty = Fraction(1) if m == 0 else Fraction(0)
-    return empty + _shape_sum(sp, m, max_e, connected=False)
+    return _shape_sum(sp, m, max_e, connected=False)
 
 
 def oracle_connected_coefficient(sp: Species, m: int, max_e: int) -> Fraction:
@@ -66,8 +65,9 @@ def oracle_connected_coefficient(sp: Species, m: int, max_e: int) -> Fraction:
 
 def _shape_sum(sp: Species, m: int, max_e: int, connected: bool) -> Fraction:
     """Sum of (-1)^v * prod q_n / prod mult! * #pairings over the block
-    shapes of every graph with e - v = m, counting all pairings or only
-    the connecting ones.
+    shapes of every graph with e - v = m, m <= e <= 3m, counting all
+    pairings or only the connecting ones.  The empty graph is the shape
+    with no blocks at e = 0, with one pairing that does not connect.
 
     The arguments are checked before any enumeration starts, and each
     valence a shape reads is checked by ``Species.q``.
@@ -80,10 +80,10 @@ def _shape_sum(sp: Species, m: int, max_e: int, connected: bool) -> Fraction:
         raise UsageError(f"the oracle counts graphs up to {MAX_LOOPS} loops "
                          f"(m <= {MAX_LOOPS - 1})")
     total = Fraction(0)
-    for e in range(m + 1, 3 * m + 1):
+    for e in range(m, 3 * m + 1):
         v = e - m
         for shape in _block_shapes(2 * e, v):
-            weight = prod(map(sp.q, shape))
+            weight = prod(map(sp.q, shape), start=Fraction(1))  # a Fraction for no blocks too
             if weight:
                 count = _pairings(tuple(sorted((n,) for n in shape)))[connected]
                 total += (-1) ** v * weight * count / prod(map(factorial, Counter(shape).values()))

@@ -1,5 +1,7 @@
-"""Every public name a module lists in ``__all__`` exists and is used, and the frozen API stays."""
+"""Every public name a module lists in ``__all__`` exists and is used, the
+frozen API stays, and the modules import each other along one chain."""
 
+import ast
 import importlib
 import pkgutil
 import re
@@ -13,6 +15,22 @@ import orbchi
 
 MODULES = ["orbchi"] + [f"orbchi.{m.name}" for m in pkgutil.iter_modules(orbchi.__path__)]
 REPO = Path(__file__).resolve().parent.parent
+SRC = REPO / "src" / "orbchi"
+
+# each module's in-package imports: the chain series <- moments <- species
+# <- euler <- analytic <- cli, with nothing imported back up it, and the
+# oracle beside it reading only the species, so that it shares no series,
+# moments or euler code with the pipeline it checks
+IMPORTS = {
+    "__init__": {"series", "moments", "species", "euler", "oracle", "analytic"},
+    "series": set(),
+    "moments": {"series"},
+    "species": {"moments"},
+    "euler": {"series", "species"},
+    "oracle": {"species"},
+    "analytic": {"euler", "species"},
+    "cli": {"analytic", "euler", "oracle", "species"},
+}
 
 # the names tests/test_acceptance.py imports from the package root
 FROZEN = [
@@ -37,17 +55,34 @@ def test_public_names_are_used():
     # package, by a demo, by the README or by the console script that
     # pyproject.toml declares; otherwise nothing needs it public
     sources = {path: path.read_text(encoding="utf-8")
-               for path in [*(REPO / "src" / "orbchi").glob("*.py"),
+               for path in [*SRC.glob("*.py"),
                             *(REPO / "demos").glob("*.py"),
                             REPO / "README.md", REPO / "pyproject.toml"]}
     unused = []
     for name in MODULES[1:]:
-        own = REPO / "src" / "orbchi" / f"{name.rpartition('.')[2]}.py"
+        own = SRC / f"{name.rpartition('.')[2]}.py"
         for public in importlib.import_module(name).__all__:
             word = re.compile(rf"\b{re.escape(public)}\b")
             if not any(word.search(text) for path, text in sources.items() if path != own):
                 unused.append(f"{name}.{public}")
     assert unused == []
+
+
+def test_import_table_lists_every_module():
+    assert set(IMPORTS) == {path.stem for path in SRC.glob("*.py")}
+
+
+@pytest.mark.parametrize("module", IMPORTS)
+def test_in_package_imports(module):
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    relative = {node.module for node in imports if isinstance(node, ast.ImportFrom) and node.level}
+    absolute = {alias.name for node in imports if isinstance(node, ast.Import) for alias in node.names}
+    absolute |= {node.module for node in imports if isinstance(node, ast.ImportFrom) and not node.level}
+    assert relative == IMPORTS[module]
+    assert not any(name.split(".")[0] == "orbchi" for name in absolute)
+    # every import runs when the module loads: none is type-only or deferred
+    assert all(node in tree.body for node in imports)
 
 
 def test_frozen_api():

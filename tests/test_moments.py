@@ -1,16 +1,13 @@
 """Unit tests for Gaussian moments and the y^k -> Ch_k substitution."""
 
-import ast
 import json
 import random
 import tracemalloc
 from fractions import Fraction as F
-from pathlib import Path
 
 import pytest
 import sympy
 
-import orbchi.moments
 from orbchi.euler import all_graphs_series
 from orbchi.moments import gaussian_moment, substitute_moments
 from orbchi.oracle import _pairings
@@ -210,16 +207,3 @@ class TestVertexCountSum:
             tracemalloc.stop()
         assert peak <= 0.25 * rows, peak / rows
 
-
-def test_moments_imports_only_series_from_package():
-    # the reference route sits below the pipeline: series <- moments <-
-    # species <- euler <- cli, with no import back up the chain
-    tree = ast.parse(Path(orbchi.moments.__file__).read_text(encoding="utf-8"))
-    relative = {node.module for node in ast.walk(tree)
-                if isinstance(node, ast.ImportFrom) and node.level}
-    absolute = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
-                for alias in node.names}
-    absolute |= {node.module for node in ast.walk(tree)
-                 if isinstance(node, ast.ImportFrom) and not node.level}
-    assert relative == {"series"}
-    assert not any(name.split(".")[0] == "orbchi" for name in absolute)

@@ -29,6 +29,12 @@ class TestBivariatePolyBasics:
         with pytest.raises(ValueError):
             bp({(-1, 2): 1}, 3)
 
+    def test_repr_round_trips(self):
+        p = bp({(2, 0): 3, (1, 1): F(1, 2)}, 3)
+        text = "BivariatePoly({(1, 1): Fraction(1, 2), (2, 0): Fraction(3, 1)}, s_cutoff=3)"
+        assert repr(p) == text
+        assert eval(text, {"BivariatePoly": BivariatePoly, "Fraction": F}) == p
+
 
 class TestBivariatePolyArithmetic:
     def test_mul_simple(self):
@@ -232,3 +238,9 @@ class TestTSeries:
     def test_needs_constant_term(self):
         with pytest.raises(ValueError):
             TSeries([])
+
+    def test_repr_round_trips(self):
+        g = TSeries([1, F(1, 2), 0])
+        text = "TSeries([Fraction(1, 1), Fraction(1, 2), Fraction(0, 1)])"
+        assert repr(g) == text
+        assert eval(text, {"TSeries": TSeries, "Fraction": F}) == g

@@ -17,6 +17,7 @@ class TestBuiltins:
     def test_names(self):
         for name in BUILTINS:
             assert builtin_species(name).name == name
+            assert repr(builtin_species(name)) == f"Species({name!r}, unbounded)"
         # the unknown-name message lists every built-in and nothing else
         with pytest.raises(UsageError, match=r"\(valid names: associative, chord, commutative, lie\)$"):
             builtin_species("quantum")
@@ -93,6 +94,7 @@ class TestSpeciesFromFile:
         comm = builtin_species("commutative")
         assert sp.name == "ones"
         assert sp.max_n == 22
+        assert repr(sp) == "Species('ones', max_n=22)"
         assert all(sp.q(n) == comm.q(n) for n in range(3, 23))
 
     def test_chord_clone(self, tmp_path):
