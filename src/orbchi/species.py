@@ -111,11 +111,14 @@ def species_from_file(path: str | Path) -> Species:
         {"name": "triangles-only", "Q": {"3": 1, "4": 0, "5": "1/2", ...}}
 
     ``Q`` maps the valence n (as a decimal string) to the structure count
-    Q_n, either an integer or a rational written ``"p/q"``.  The valences
-    must cover 3..max without gaps, each named by one key only; entries
-    below 3 are only accepted when they are zero.  No object in the file
-    may repeat a key.  Errors quote the path through ``repr`` and text
-    from the file through ``reprlib.repr``, so each stays one short line.
+    Q_n, either an integer or a rational written ``"p/q"``.  Every integer,
+    whether a valence key, a count or either side of ``"p/q"``, is ASCII
+    ``-?[0-9]+``: no sign ``+``, no space, no ``_`` and no other digits.
+    The valences must cover 3..max without gaps, each named by one key only
+    (``"3"`` and ``"03"`` are one valence); entries below 3 are only
+    accepted when they are zero.  No object in the file may repeat a key.
+    Errors quote the path through ``repr`` and text from the file through
+    ``reprlib.repr``, so each stays one short line.
     """
     path = Path(path)
     where = repr(str(path))  # quoted and escaped: a newline stays on one line
@@ -123,78 +126,81 @@ def species_from_file(path: str | Path) -> Species:
         raw = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read species file {where}: {exc}") from exc
-
-    def unique_keys(pairs: list[tuple[str, object]]) -> dict:
-        doc = {}
-        for key, value in pairs:
-            if key in doc:
-                raise ValueError(f"species file {where}: key {reprlib.repr(key)} given twice")
-            doc[key] = value
-        return doc
-
-    def parse_int(digits: str) -> int | None:  # JSON digits: only the cap can fail
-        return _int(digits, f"species file {where}: ")
-
     try:
-        doc = json.loads(raw, object_pairs_hook=unique_keys, parse_int=parse_int)
+        return _species_from_text(raw)
+    except ValueError as exc:
+        raise ValueError(f"species file {where}{exc}") from exc
+
+
+def _species_from_text(raw: str) -> Species:
+    """The species a file's text describes.
+
+    A fault raises ``ValueError`` with its own detail only, written to follow
+    the file's name on one line (``species file '<path>'<detail>``).
+    """
+    try:
+        doc = json.loads(raw, object_pairs_hook=_unique_keys,
+                         parse_int=lambda digits: _int(digits, ": "))
     except (json.JSONDecodeError, RecursionError) as exc:
         # nesting too deep for the decoder is as malformed as a syntax error
-        raise ValueError(f"species file {where} is not valid JSON: {exc}") from exc
+        raise ValueError(f" is not valid JSON: {exc}") from exc
 
     if not isinstance(doc, dict) or not isinstance(doc.get("name"), str) \
             or not isinstance(doc.get("Q"), dict):
-        raise ValueError(
-            f"species file {where} must be an object with a string 'name' "
-            "and a 'Q' map"
-        )
+        raise ValueError(" must be an object with a string 'name' and a 'Q' map")
 
     counts: dict[int, Fraction] = {}
     for key, value in doc["Q"].items():
-        n = _int(key, f"species file {where}: valence key: ")
+        n = _int(key, ": valence key: ")
         if n is None:
-            raise ValueError(f"species file {where}: non-integer valence key {reprlib.repr(key)}")
+            raise ValueError(f": non-integer valence key {reprlib.repr(key)}")
         if n in counts:
-            raise ValueError(
-                f"species file {where}: valence {n} given twice (key {reprlib.repr(key)})")
-        counts[n] = _parse_count(where, n, value)
+            raise ValueError(f": valence {n} given twice (key {reprlib.repr(key)})")
+        counts[n] = _parse_count(n, value)
         if n < 3 and counts[n] != 0:
-            raise ValueError(
-                f"species file {where}: Q_{n} must be zero "
-                "(every vertex is at least trivalent)"
-            )
+            raise ValueError(f": Q_{n} must be zero (every vertex is at least trivalent)")
 
     max_n = max([2, *counts])  # 2 when no Q_n from n = 3 up: any computation refuses
     for n in range(3, max_n + 1):
         if n not in counts:
-            raise ValueError(f"species file {where}: missing Q_{n}")
+            raise ValueError(f": missing Q_{n}")
 
     table = {n: c / factorial(n) for n, c in counts.items() if n >= 3}
     return Species(doc["name"], lambda n: table[n], max_n=max_n)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f": key {reprlib.repr(key)} given twice")
+        doc[key] = value
+    return doc
+
+
 def _int(text: str, context: str) -> int | None:
-    """``int(text)``, or None when ``text`` is no integer literal.
+    """The integer ``text`` spells as ASCII ``-?[0-9]+``, else None.
 
     A literal with more digits than ``sys.get_int_max_str_digits()`` is well
     formed, so it fails on its own: one line, ``context`` followed by the
     cap, and none of the digits.
     """
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        return None
     try:
         return int(text)
     except ValueError as exc:
-        if str(exc).startswith("invalid literal"):
-            return None
         raise ValueError(f"{context}{exc}") from None
 
 
-def _parse_count(where: str, n: int, value) -> Fraction:
+def _parse_count(n: int, value) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         num, sep, den = value.partition("/")
-        context = f"species file {where}: Q_{n}: "
+        context = f": Q_{n}: "
         p, q = _int(num, context), _int(den, context) if sep else 1
         if p is not None and q:
             return Fraction(p, q)
-    raise ValueError(
-        f"species file {where}: Q_{n} must be an integer or 'p/q', got {reprlib.repr(value)}")
+    raise ValueError(f": Q_{n} must be an integer or 'p/q', got {reprlib.repr(value)}")

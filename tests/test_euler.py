@@ -1,6 +1,8 @@
 """Unit tests for the species -> Euler characteristic table pipeline."""
 
+import random
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 
@@ -53,6 +55,61 @@ class TestAllGraphsSeries:
         assert MAX_LOOPS == 1000
         with pytest.raises(UsageError, match="max-loops must be <= 1000"):
             all_graphs_series(builtin_species("commutative"), MAX_LOOPS + 1)
+
+
+def lagrange_all_graphs(q, order):
+    """g_0..g_order by Laplace's method and Lagrange inversion.
+
+    An independent route: it shares no code with the pipeline.  Putting
+    y = x/s turns the Gaussian average of exp(-sum_n q_n s^(n-2) y^n) into
+    a Laplace integral of exp(-f(x)/t), f(x) = x^2/2 + sum_n q_n x^n.  With
+    f = u^2/2, u = x sqrt(phi(x)) for phi(x) = 1 + 2 sum_k q_(k+2) x^k, and
+    Lagrange inversion gives g_n = (2n-1)!! [x^(2n)] phi^(-(2n+1)/2).  Each
+    power comes from Miller's recurrence for P = phi^alpha, phi_0 = 1:
+    k P_k = sum_{j=1..k} ((alpha + 1) j - k) phi_j P_(k-j).
+    """
+    phi = [F(1)] + [2 * q(k + 2) for k in range(1, 2 * order + 1)]
+    g, double_factorial = [], 1  # (2n-1)!!
+    for n in range(order + 1):
+        alpha = F(-(2 * n + 1), 2)
+        p = [F(1)]
+        for k in range(1, 2 * n + 1):
+            # start at F(0): a sum holding no Fraction would be int 0, and 0 / k a float
+            p.append(sum((((alpha + 1) * j - k) * phi[j] * p[k - j]
+                          for j in range(1, k + 1)), F(0)) / k)
+        g.append(double_factorial * p[2 * n])
+        double_factorial *= 2 * n + 1
+    return g
+
+
+def random_species(seed, max_n):
+    """Q_3..Q_max_n random rationals of either sign, about half of them zero."""
+    rng = random.Random(seed)
+    table = {n: F(rng.choice([0, rng.randint(-9, 9)]), rng.randint(1, 9)) / factorial(n)
+             for n in range(3, max_n + 1)}
+    return Species(f"random-{seed}", lambda n: table[n], max_n=max_n)
+
+
+class TestLagrangeRoute:
+    ORDER = 20
+
+    def check(self, species):
+        g = all_graphs_series(species, self.ORDER + 1)
+        assert [g[m] for m in range(self.ORDER + 1)] == lagrange_all_graphs(species.q, self.ORDER)
+
+    @pytest.mark.parametrize("name", ["commutative", "associative", "lie", "chord"])
+    def test_builtins(self, name):
+        self.check(builtin_species(name))
+
+    @pytest.mark.parametrize("seed", range(1, 11))
+    def test_random_rational_species(self, seed):
+        self.check(random_species(seed, 2 * self.ORDER + 2))
+
+    def test_hand_values(self):
+        # commutative: g_1 = 1/12
+        assert lagrange_all_graphs(builtin_species("commutative").q, 1) == [1, F(1, 12)]
+        # no vertices at all: the empty graph alone
+        assert lagrange_all_graphs(lambda n: F(0), 3) == [1, 0, 0, 0]
 
 
 class TestConnectedSeries:

@@ -175,11 +175,14 @@ class TestSpeciesFromFile:
 
     @pytest.mark.parametrize("text, message", [
         ('{"name": "x", "Q": {"3": 1, "03": 5, "4": 0}}', "valence 3 given twice"),
-        ('{"name": "x", "Q": {"2": 0, " 2": 0, "3": 1}}', "valence 2 given twice"),
+        # space and newline are no part of an integer, so the second key is
+        # rejected on its own before it can repeat a valence
+        ('{"name": "x", "Q": {"2": 0, " 2": 0, "3": 1}}', "non-integer valence key ' 2'$"),
         ('{"name": "x", "Q": {"3": 1, "3": 5, "4": 0}}', "key '3' given twice"),
         ('{"name": "x", "name": "y", "Q": {"3": 1}}', "key 'name' given twice"),
-        ('{"name": "x", "Q": {"3": 1, "\\n3": 5}}', "valence 3 given twice"),
-        ('{"name": "x", "Q": {"3": 1, "%s3": 5}}' % (" " * 5000), "valence 3 given twice"),
+        ('{"name": "x", "Q": {"3": 1, "\\n3": 5}}', r"non-integer valence key '\\n3'$"),
+        ('{"name": "x", "Q": {"3": 1, "%s3": 5}}' % (" " * 5000),
+         r"non-integer valence key ' +\.\.\. +3'$"),
     ], ids=["leading-zero", "below-three", "verbatim-valence", "verbatim-name",
             "newline-valence", "long-valence"])
     def test_repeated_valence_rejected(self, tmp_path, text, message):
@@ -190,6 +193,24 @@ class TestSpeciesFromFile:
         assert not isinstance(excinfo.value, UsageError)
         assert len(str(excinfo.value).splitlines()) == 1
         assert len(str(excinfo.value)) < len(str(f)) + 120
+
+    @pytest.mark.parametrize("spelling", ["1_0", "\u0663", "+1", " 2"],
+                             ids=["underscore", "arabic-indic", "plus", "space"])
+    @pytest.mark.parametrize("where", ["count", "numerator", "denominator", "valence-key"])
+    def test_integer_is_ascii_digits_only(self, tmp_path, where, spelling):
+        # int() would read each of these; a species file takes -?[0-9]+ only
+        q, got = {"count": ({"3": spelling}, f"Q_3 must be an integer or 'p/q', got {spelling!r}"),
+                  "numerator": ({"3": f"{spelling}/7"},
+                                f"Q_3 must be an integer or 'p/q', got '{spelling}/7'"),
+                  "denominator": ({"3": f"7/{spelling}"},
+                                  f"Q_3 must be an integer or 'p/q', got '7/{spelling}'"),
+                  "valence-key": ({"3": 1, spelling: 0},
+                                  f"non-integer valence key {spelling!r}")}[where]
+        f = write_species(tmp_path, {"name": "x", "Q": q})
+        with pytest.raises(ValueError) as excinfo:
+            species_from_file(f)
+        assert str(excinfo.value) == f"species file '{f}': {got}"
+        assert not isinstance(excinfo.value, UsageError)
 
     def test_bad_count_value(self, tmp_path):
         f = write_species(tmp_path, {"name": "x", "Q": {"3": 1.5}})
