@@ -25,6 +25,12 @@ The pipeline has two steps:
 ``BivariatePoly.exp`` followed by ``moments.substitute_moments`` computes
 step 1 for any bivariate polynomial, holding every s-row of exp(E); the
 tests keep it as the reference route.
+
+Step 1's recurrence is ``_column_sum``, and step 2's is ``series._log``.
+Both run on lists, over whatever exact ring the species' q_n lie in; only
+the public functions wrap the result in a ``TSeries``.  The tests run them
+on a species whose q_n are polynomial variables, so that one check covers
+every species at once.
 """
 
 from __future__ import annotations
@@ -70,9 +76,13 @@ def all_graphs_series(species: Species, loops: int) -> TSeries:
         raise UsageError("max-loops must be >= 2")
     if loops > MAX_LOOPS:
         raise UsageError(f"max-loops must be <= {MAX_LOOPS}")
-    order = loops - 1
+    species.check_coverage(2 * loops)
+    return TSeries(_column_sum(species, loops - 1))
+
+
+def _column_sum(species: Species, order: int) -> list:
+    """g_0..g_order of the all-graphs series, by step 1 above."""
     n = 2 * order
-    species.check_coverage(n + 2)
     # (k, a_k) in rising k, the nonzero terms of E's s-rows
     a = [(k, -q) for k in range(1, n + 1) if (q := species.q(k + 2))]
     ch = [1]  # ch[m] = Ch_(2m) = (2m-1)!!, up to the top y-degree 3n
@@ -92,7 +102,7 @@ def all_graphs_series(species: Species, loops: int) -> TSeries:
                     break
                 acc[j + k] = acc.get(j + k, 0) + ak * c
         col = {i: c / v for i, c in acc.items() if c}
-    return TSeries(g)
+    return g
 
 
 def connected_series(g: TSeries) -> TSeries:

@@ -36,9 +36,12 @@ and ``repr``.  The two kinds never mix: ``+`` and ``*`` between them are a
 ``BivariatePoly.items`` and ``s_cutoff``, coefficients through ``TSeries[m]``
 and ``order``.
 
-All coefficients are exact ``fractions.Fraction`` values; no floating point
-enters this module.  Values are immutable after construction and every
-operation returns a fresh object, so instances are safe to share.
+All coefficients of the two carriers are exact ``fractions.Fraction``
+values; no floating point enters this module.  The recurrences themselves,
+``_exp_rows`` and ``_log``, use only ring operations and division by an
+integer, so they run over any exact ring.  Values are immutable after
+construction and every operation returns a fresh object, so instances are
+safe to share.
 """
 
 from __future__ import annotations
@@ -79,6 +82,21 @@ def _exp_rows(rows: list[dict[int, Fraction]]) -> list[dict[int, Fraction]]:
             _add_product(acc, scaled[k], h[i - k])
         h.append({j: c / i for j, c in acc.items() if c})
     return h
+
+
+def _log(g: list) -> list:
+    """c_0..c_N of C = log(G), from g_0..g_N with g_0 = 1, by the
+    recurrence c_m = g_m - (1/m) sum_{k=1..m-1} k c_k g_{m-k}."""
+    c = [Fraction(0)]
+    scaled = [Fraction(0)]  # k c_k
+    for m in range(1, len(g)):
+        acc = Fraction(0)
+        for k in range(1, m):
+            if scaled[k] and g[m - k]:
+                acc += scaled[k] * g[m - k]
+        c.append(g[m] - acc / m)
+        scaled.append(m * c[m])
+    return c
 
 
 class _Rows:
@@ -199,22 +217,12 @@ class TSeries(_Rows):
     def log(self) -> TSeries:
         """sum_{k>=1} (-1)^(k+1) (self - 1)^k / k, truncated at the order.
 
-        Left inverse of :meth:`exp` on truncated series.  Computed by the
-        recurrence c_m = g_m - (1/m) sum_{k=1..m-1} k c_k g_{m-k}.
+        Left inverse of :meth:`exp` on truncated series, by ``_log``.
         """
         g = [self[m] for m in range(len(self._rows))]
         if g[0] != 1:
             raise ValueError("log requires unit constant term")
-        c = [Fraction(0)]
-        scaled = [Fraction(0)]  # k c_k
-        for m in range(1, len(g)):
-            acc = Fraction(0)
-            for k in range(1, m):
-                if scaled[k] and g[m - k]:
-                    acc += scaled[k] * g[m - k]
-            c.append(g[m] - acc / m)
-            scaled.append(m * c[m])
-        return TSeries(c)
+        return TSeries(_log(g))
 
     def exp(self) -> TSeries:
         """sum_{k>=0} self^k / k!, truncated; requires zero constant term."""

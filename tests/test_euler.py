@@ -5,16 +5,23 @@ from fractions import Fraction as F
 from math import factorial
 
 import pytest
+from sympy.polys.domains import QQ
+from sympy.polys.rings import ring
 
 from orbchi.euler import (
     MAX_LOOPS,
     EulerTable,
+    _column_sum,
     all_graphs_series,
     connected_series,
     euler_characteristic,
 )
 from orbchi.series import TSeries
 from orbchi.species import Species, UsageError, builtin_species
+
+# q_n as a variable, so that each g_m is a polynomial in the q_n
+Q = ring([f"q{n}" for n in range(3, 33)], QQ)[1:]
+GENERIC = Species("generic", lambda n: Q[n - 3])
 
 
 class TestEulerTable:
@@ -100,6 +107,10 @@ class TestLagrangeRoute:
     @pytest.mark.parametrize("name", ["commutative", "associative", "lie", "chord"])
     def test_builtins(self, name):
         self.check(builtin_species(name))
+
+    def test_generic_species(self):
+        # 15 loops: every order <= 14 of every species at once
+        assert _column_sum(GENERIC, 14) == lagrange_all_graphs(GENERIC.q, 14)
 
     @pytest.mark.parametrize("seed", range(1, 11))
     def test_random_rational_species(self, seed):

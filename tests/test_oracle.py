@@ -2,28 +2,47 @@
 
 import json
 import random
-import tempfile
 from collections import Counter
 from fractions import Fraction as F
 from functools import lru_cache
 from math import factorial, prod
-from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from sympy.polys.domains import QQ
+from sympy.polys.rings import ring
 
-from orbchi.euler import all_graphs_series, connected_series
+from orbchi.euler import _column_sum, all_graphs_series, connected_series
 from orbchi.oracle import (
     _block_shapes,
     _pairings,
     oracle_all_graphs_coefficient,
     oracle_connected_coefficient,
 )
+from orbchi.series import _log
 from orbchi.species import Species, UsageError, builtin_species, species_from_file
 
 COMM = builtin_species("commutative")
 CAP = "the oracle counts graphs up to 11 loops"
+
+# q_n as a variable: the coefficients of this species are polynomials in the
+# q_n, and two equal polynomials agree at every species
+R, *Q = ring([f"q{n}" for n in range(3, 33)], QQ)
+GENERIC = Species("generic", lambda n: Q[n - 3])
+
+
+@lru_cache(maxsize=None)
+def generic_series(order):
+    """g_0..g_order and c_0..c_order of GENERIC, by the shipped recurrences."""
+    g = _column_sum(GENERIC, order)
+    return g, _log(g)
+
+
+def at(sp, p):
+    """The polynomial p in the q_n, evaluated in Fractions at the species sp."""
+    return sum((F(int(c.numerator), int(c.denominator))
+                * prod(sp.q(n) ** e for n, e in enumerate(monomial, 3) if e)
+                for monomial, c in R(p).terms()), F(0))
 
 
 def partitions_by_blocks(k, sp=COMM):
@@ -257,8 +276,9 @@ class TestAllGraphsOracle:
     @pytest.mark.parametrize("m", range(1, 7))
     def test_matches_pipeline(self, name, m):
         sp = builtin_species(name)
-        series = all_graphs_series(sp, m + 1)
-        assert oracle_all_graphs_coefficient(sp, m, 3 * m) == series[m]
+        value = oracle_all_graphs_coefficient(sp, m, 3 * m)
+        assert value == all_graphs_series(sp, m + 1)[m] == at(sp, generic_series(m)[0][m])
+        assert type(value) is F
 
 
 class TestConnectedOracle:
@@ -283,40 +303,51 @@ class TestConnectedOracle:
     @pytest.mark.parametrize("m", range(1, 7))
     def test_matches_pipeline(self, name, m):
         sp = builtin_species(name)
+        value = oracle_connected_coefficient(sp, m, 3 * m)
         connected = connected_series(all_graphs_series(sp, m + 1))
-        assert oracle_connected_coefficient(sp, m, 3 * m) == connected[m]
+        assert value == connected[m] == at(sp, generic_series(m)[1][m])
+        assert type(value) is F
+
+
+@pytest.mark.parametrize("m", range(1, 11))  # 2..11 loops
+def test_generic_species_matches_oracle(m):
+    # monomial by monomial, one per block shape, so for every species
+    g, c = generic_series(m)
+    shapes = sum(1 for e in range(m, 3 * m + 1) for _ in _block_shapes(2 * e, e - m))
+    assert len(g[m].terms()) == len(c[m].terms()) == shapes
+    assert g[m] == oracle_all_graphs_coefficient(GENERIC, m, 3 * m)
+    assert c[m] == oracle_connected_coefficient(GENERIC, m, 3 * m)
 
 
 def _seeded_species(seed):
-    """Q_3..Q_14 random nonzero rationals of either sign."""
+    """Q_3..Q_14 random rationals of either sign, about half of them zero."""
     rng = random.Random(seed)
-    table = {n: F(rng.choice((-1, 1)) * rng.randint(1, 40), rng.randint(1, 40)) / factorial(n)
+    table = {n: F(rng.choice((0, rng.randint(-40, 40))), rng.randint(1, 40)) / factorial(n)
              for n in range(3, 15)}
     return Species(f"seeded-{seed}", lambda n: table[n], max_n=14)
 
 
-@pytest.mark.parametrize("seed", range(1, 11))
-def test_seeded_species_match_pipeline(seed):
-    sp = _seeded_species(seed)
-    series = all_graphs_series(sp, 7)
-    connected = connected_series(series)
-    for m in range(1, 7):
-        assert oracle_all_graphs_coefficient(sp, m, 3 * m) == series[m]
-        assert oracle_connected_coefficient(sp, m, 3 * m) == connected[m]
+# the file the CI smoke job hands to `verify oracle`
+MIXED = {"3": "-7/3", "4": 2, "5": 0, "6": "5/11", "7": -1, "8": "13/4",
+         "9": "-2/9", "10": 6, "11": "1/40", "12": "-17/8"}
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.lists(st.tuples(st.integers(-40, 40), st.integers(1, 40)), min_size=8, max_size=8))
-def test_random_file_species_match_pipeline(counts):
-    # Q_3..Q_10 as "p/q" strings, zeros included, read back from a file
-    q = {str(n): f"{p}/{d}" for n, (p, d) in enumerate(counts, start=3)}
-    with tempfile.TemporaryDirectory() as tmp:
-        f = Path(tmp) / "sp.json"
-        f.write_text(json.dumps({"name": "random", "Q": q}))
+@pytest.mark.parametrize("seed", [*range(1, 11), "mixed"])
+def test_seeded_species_match_pipeline(seed, tmp_path):
+    # the rational path, which skips zero terms: the generic polynomials at
+    # the point, the pipeline and the oracle agree, all in Fractions
+    if seed == "mixed":
+        f = tmp_path / "mixed.json"
+        f.write_text(json.dumps({"name": "mixed", "Q": MIXED}))
         sp = species_from_file(f)
-    series = all_graphs_series(sp, 5)
+    else:
+        sp = _seeded_species(seed)
+    order = sp.max_n // 2 - 1
+    series = all_graphs_series(sp, order + 1)
     connected = connected_series(series)
-    for m in range(1, 5):
-        assert oracle_all_graphs_coefficient(sp, m, 3 * m) == series[m]
-        assert oracle_connected_coefficient(sp, m, 3 * m) == connected[m]
-
+    g, c = generic_series(order)
+    for m in range(order + 1):
+        values = (series[m], connected[m], oracle_all_graphs_coefficient(sp, m, 3 * m),
+                  oracle_connected_coefficient(sp, m, 3 * m))
+        assert values == (at(sp, g[m]), at(sp, c[m])) * 2
+        assert all(type(value) is F for value in values)
