@@ -3,18 +3,20 @@
 The pipeline never touches an individual graph: it expands a formal
 exponential and substitutes Gaussian moments.  The oracle does the
 opposite: for every block shape of 2e half-edges into v vertices it
-counts the perfect matchings by pairing the half-edges one edge at a
-time, and weighs the shape by (-1)^v prod q_n / prod mult!, which is
-the number of labeled partitions of that shape times prod Q_n over
-(2e)!.  A partial matching is remembered only as its components and the
-free half-edge counts of their vertices, so equal states share one
-sub-walk, and no generating-function machinery is used.  The two must
-agree coefficient by coefficient; here up to 7 loops (m <= 6, 2e <= 36),
-and ``orbchi verify oracle --max-loops 11`` goes to the oracle's cap.
+counts perfect matchings, and weighs the shape by (-1)^v prod q_n /
+prod mult!, which is the number of labeled partitions of that shape
+times prod Q_n over (2e)!.  The two must agree coefficient by
+coefficient; here up to 7 loops (m <= 6, 2e <= 36), and
+``orbchi verify oracle --max-loops 11`` goes to the oracle's cap.
 
-Connected counting is the interesting case, because it tests the
-logarithm step: log(all-graphs series) = connected series.  There the
-walk counts only the matchings that leave one component.
+Every shape has (2e-1)!! matchings, so the all-graphs sum needs no
+enumeration.  Connected counting is the interesting case, because it
+tests the logarithm step: log(all-graphs series) = connected series.
+There the oracle pairs the half-edges one edge at a time and counts only
+the matchings that leave one component.  A partial matching is
+remembered only as its live components and the free half-edge counts
+of their vertices, so equal states share one sub-walk, and no
+generating-function machinery is used.
 """
 
 import time

@@ -19,7 +19,6 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .euler import EulerTable
 from .species import UsageError
 
 __all__ = ["bernoulli_numbers", "BernoulliCheck", "verify_bernoulli",
@@ -55,8 +54,9 @@ class BernoulliCheck(NamedTuple):
         return self.value == self.expected
 
 
-def verify_bernoulli(table: EulerTable) -> list[BernoulliCheck]:
-    """Compare a connected-graph table against the closed form s_n.
+def verify_bernoulli(table) -> list[BernoulliCheck]:
+    """Compare a connected-graph table (an ``euler.EulerTable``) against
+    the closed form s_n.
 
     Meaningful for the commutative and associative species, where equality
     is exact at every loop order; other species are expected to fail.

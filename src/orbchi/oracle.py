@@ -12,15 +12,16 @@ blocks n_1..n_v stands for (2e)! / (prod n_b! * prod mult!) partitions,
 where mult runs over the multiplicities of the sizes, so its weight is
 (-1)^v * prod q_n / prod mult! (q_n = Q_n / n!) times its pairing count.
 
-One walk counts the pairings.  Half-edges of one vertex are
+Every shape on 2e half-edges has (2e - 1)!! pairings, so only the
+connecting ones are walked.  Half-edges of one vertex are
 interchangeable, so a state is the sorted tuple of live components, each
 the sorted tuple of its vertices' free half-edge counts.  A step pairs
 one free half-edge of the first vertex of the first component with
 another of the same vertex (f - 1 ways) or with one of any other vertex
-w (f_w ways), merging two components in the latter case.  A component
-with no free half-edge left is closed; if another one is still live, the
-graph will not be connected.  Equal states have equal completions, so
-one module-level cache serves every shape, order and species.  No
+w (f_w ways), merging two components in the latter case.  A step that
+closes a component while another is still live cannot lead to a
+connected graph, so it ends there.  Equal states have equal completions,
+so one module-level cache serves every shape, order and species.  No
 generating-function machinery is imported, so these sums are an
 independent check on the series pipeline.
 """
@@ -38,9 +39,10 @@ from .species import Species, UsageError
 __all__ = ["oracle_all_graphs_coefficient", "oracle_connected_coefficient"]
 
 # The largest loop number counted (m = e - v <= MAX_LOOPS - 1).  At 11
-# loops the walk meets 2e <= 60 half-edges: about 4-5 s for the first
-# species in a process on a 2-vCPU VM, and ~88k cached states (~35 MB)
-# that the cap also bounds for the life of the process.
+# loops the walk meets 2e <= 60 half-edges: about 2-4 s for the first
+# species in a process on a 2-vCPU VM, and ~84k cached states (~22 MB; a
+# `verify oracle` process peaks at ~37 MB resident) that the cap also
+# bounds for the life of the process.
 MAX_LOOPS = 11
 
 
@@ -66,8 +68,9 @@ def oracle_connected_coefficient(sp: Species, m: int, max_e: int) -> Fraction:
 def _shape_sum(sp: Species, m: int, max_e: int, connected: bool) -> Fraction:
     """Sum of (-1)^v * prod q_n / prod mult! * #pairings over the block
     shapes of every graph with e - v = m, m <= e <= 3m, counting all
-    pairings or only the connecting ones.  The empty graph is the shape
-    with no blocks at e = 0, with one pairing that does not connect.
+    (2e - 1)!! pairings or only the connecting ones.  The empty graph is
+    the shape with no blocks at e = 0, with one pairing that does not
+    connect.
 
     The arguments are checked before any enumeration starts, and each
     valence a shape reads is checked by ``Species.q``.
@@ -85,7 +88,8 @@ def _shape_sum(sp: Species, m: int, max_e: int, connected: bool) -> Fraction:
         for shape in _block_shapes(2 * e, v):
             weight = prod(map(sp.q, shape), start=Fraction(1))  # a Fraction for no blocks too
             if weight:
-                count = _pairings(tuple(sorted((n,) for n in shape)))[connected]
+                count = (_connected(tuple(sorted((n,) for n in shape))) if connected
+                         else prod(range(2 * e - 1, 0, -2)))
                 total += (-1) ** v * weight * count / prod(map(factorial, Counter(shape).values()))
     return total
 
@@ -106,26 +110,27 @@ def _block_shapes(total: int, parts: int, largest: int | None = None) -> Iterato
 
 
 @lru_cache(maxsize=None)
-def _pairings(state: tuple[tuple[int, ...], ...]) -> tuple[int, int]:
-    """(all, connected): the ways to pair every free half-edge of
-    ``state``, and those among them that leave one component.
+def _connected(state: tuple[tuple[int, ...], ...]) -> int:
+    """The ways to pair every free half-edge of ``state`` that leave one
+    component.
 
-    ``state`` is a sorted tuple of components, each a sorted tuple of
-    free half-edge counts; a component with none left sorts first.  The
-    start state of a shape is ``tuple(sorted((n,) for n in shape))``.
+    ``state`` is a sorted tuple of live components, each a sorted tuple of
+    positive free half-edge counts.  The start state of a shape is
+    ``tuple(sorted((n,) for n in shape))``, where a bare vertex (0,) is
+    one component already closed; closing the last live component
+    reaches ``((),)``.
     """
-    if not state:
-        return 1, 0
-    if not any(state[0]):  # closed: connected only if nothing else is live
-        return (1, 1) if len(state) == 1 else (_pairings(state[1:])[0], 0)
+    if not state or not any(state[0]):  # none, or a closed one: connected only if alone
+        return int(len(state) == 1)
     head = (state[0][0] - 1,) + state[0][1:]
     live = (head,) + state[1:]
     moves: Counter = Counter()
     for c, comp in enumerate(live):
+        rest = live[1:c] + live[c + 1:]
+        # w pairs with the head vertex, and w's component joins the first
         for w, f in enumerate(comp):
-            if f:  # w pairs with the head vertex, and w's component joins the first
-                joined = comp[:w] + (f - 1,) + comp[w + 1:] + (head if c else ())
-                rest = live[1:c] + live[c + 1:]
-                moves[tuple(sorted(rest + (tuple(sorted(x for x in joined if x)),)))] += f
-    done = [(ways, _pairings(nxt)) for nxt, ways in moves.items()]
-    return sum(w * a for w, (a, _) in done), sum(w * c for w, (_, c) in done)
+            joined = comp[:w] + (f - 1,) + comp[w + 1:] + (head if c else ())
+            joined = tuple(sorted(x for x in joined if x))
+            if f and (joined or not rest):  # a component closed early splits the graph
+                moves[tuple(sorted(rest + (joined,)))] += f
+    return sum(ways * _connected(nxt) for nxt, ways in moves.items())

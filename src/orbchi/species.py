@@ -28,8 +28,6 @@ from math import factorial
 from pathlib import Path
 from typing import Callable, Mapping
 
-from .moments import gaussian_moment
-
 __all__ = ["UsageError", "Species", "builtin_species", "species_from_file"]
 
 
@@ -81,8 +79,9 @@ class Species:
 
 
 def _chord_q(n: int) -> Fraction:
-    # Ch_n = (n-1)!! perfect matchings for even n, none for odd n
-    return Fraction(gaussian_moment(n), factorial(n))
+    # Ch_n = (n-1)!! perfect matchings for even n = 2k, none for odd n:
+    # q_n = (2k-1)!!/(2k)! = 1/(2^k k!)
+    return Fraction(0) if n % 2 else Fraction(1, 2 ** (n // 2) * factorial(n // 2))
 
 
 _BUILTIN_Q: Mapping[str, Callable[[int], Fraction]] = {

@@ -335,13 +335,13 @@ class TestVerify:
 
     def test_oracle_budget(self, capsys):
         # refused before the pairing walk is first entered
-        before = orbchi.oracle._pairings.cache_info()
+        before = orbchi.oracle._connected.cache_info()
         code, out, err = run(capsys, "verify", "oracle", "--species", "commutative",
                              "--max-loops", "12")
         assert code == 2
         assert out == ""
         assert err == "error: the oracle counts graphs up to 11 loops (m <= 10)\n"
-        assert orbchi.oracle._pairings.cache_info() == before
+        assert orbchi.oracle._connected.cache_info() == before
 
     def test_oracle_at_the_loop_cap(self, capsys):
         code, out, err = run(capsys, "verify", "oracle", "--species", "lie",

@@ -1,6 +1,6 @@
 """Every public name a module lists in ``__all__`` exists and is used, the
-frozen API stays, and the modules import each other along one chain and
-nothing outside the standard library."""
+frozen API stays, the checks reach no pipeline module, and the package
+imports nothing outside the standard library."""
 
 import ast
 import importlib
@@ -18,18 +18,19 @@ MODULES = ["orbchi"] + [f"orbchi.{m.name}" for m in pkgutil.iter_modules(orbchi.
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "orbchi"
 
-# each module's in-package imports: the chain series <- moments <- species
-# <- euler <- analytic <- cli, with nothing imported back up it, and the
-# oracle beside it reading only the species, so that it shares no series,
-# moments or euler code with the pipeline it checks
+# each module's in-package imports: the engine (euler) reads only the
+# series and the species; the oracle and the Stirling check (analytic) read
+# only the species, so that they share no series, moments or euler code
+# with the pipeline they check; and the moments, the reference route, are
+# read only by the package root
 IMPORTS = {
     "__init__": {"series", "moments", "species", "euler", "oracle", "analytic"},
     "series": set(),
     "moments": {"series"},
-    "species": {"moments"},
+    "species": set(),
     "euler": {"series", "species"},
     "oracle": {"species"},
-    "analytic": {"euler", "species"},
+    "analytic": {"species"},
     "cli": {"analytic", "euler", "oracle", "species"},
 }
 
@@ -85,6 +86,23 @@ def test_in_package_imports(module):
     assert all(name.split(".")[0] in sys.stdlib_module_names for name in absolute), absolute
     # every import runs when the module loads: none is type-only or deferred
     assert all(node in tree.body for node in imports)
+
+
+def closure(module):
+    """Every module ``module`` reaches through the IMPORTS table."""
+    reached, todo = set(), [module]
+    while todo:
+        for name in IMPORTS[todo.pop()] - reached:
+            reached.add(name)
+            todo.append(name)
+    return reached
+
+
+def test_checks_reach_only_the_species():
+    # direct imports are not enough: nothing the pipeline is built from may
+    # reach the checks through the species either
+    assert closure("oracle") == closure("analytic") == {"species"}
+    assert closure("euler") == {"series", "species"}
 
 
 def test_frozen_api():

@@ -10,7 +10,7 @@ import sympy
 
 from orbchi.euler import all_graphs_series
 from orbchi.moments import gaussian_moment, substitute_moments
-from orbchi.oracle import _pairings
+from orbchi.oracle import _connected
 from orbchi.series import BivariatePoly, TSeries
 from orbchi.species import Species, builtin_species, species_from_file
 
@@ -38,9 +38,10 @@ class TestGaussianMoment:
             gaussian_moment(-1)
 
     def test_matches_pairing_enumeration(self):
-        # independent cross-check against brute-force matching counts
+        # independent cross-check against brute-force matching counts; on one
+        # vertex every matching connects
         for k in range(13):
-            assert gaussian_moment(k) == _pairings(((k,),))[0]
+            assert gaussian_moment(k) == _connected(((k,),))
 
     def test_table_recurrence(self):
         for k in range(2, 13, 2):

@@ -15,7 +15,7 @@ from sympy.polys.rings import ring
 from orbchi.euler import _column_sum, all_graphs_series, connected_series
 from orbchi.oracle import (
     _block_shapes,
-    _pairings,
+    _connected,
     oracle_all_graphs_coefficient,
     oracle_connected_coefficient,
 )
@@ -60,9 +60,14 @@ def partitions_by_blocks(k, sp=COMM):
     return out
 
 
-def pairing_counts(shape):
-    """The oracle's (all, connected) pairing counts of a block shape."""
-    return _pairings(tuple(sorted((n,) for n in shape)))
+def connected_count(shape):
+    """The oracle's count of the pairings of a block shape that connect it."""
+    return _connected(tuple(sorted((n,) for n in shape)))
+
+
+def double_factorial(k):
+    """(k - 1)!! for even k, the pairings of k points; 0 for odd k."""
+    return 0 if k % 2 else prod(range(k - 1, 0, -2))
 
 
 def shapes_up_to(half_edges):
@@ -139,15 +144,13 @@ class TestPairingCounts:
     ])
     def test_hand_values(self, shape, counts):
         # e.g. (4, 4) loses the 3 * 3 pairings that keep each vertex to itself
-        assert pairing_counts(shape) == counts
+        assert literal_pairing_counts(shape) == counts
+        assert connected_count(shape) == counts[1]
 
     def test_single_block(self):
         # one vertex: every pairing connects it, and there are (k-1)!!
-        for k in range(0, 13, 2):
-            pairings = prod(range(k - 1, 0, -2))
-            assert pairing_counts((k,)) == (pairings, pairings)
-        for k in range(1, 13, 2):
-            assert pairing_counts((k,)) == (0, 0)
+        for k in range(13):
+            assert connected_count((k,)) == double_factorial(k)
 
     def test_matches_literal_enumeration(self):
         # every shape the oracle sums over, against a walk that lists each
@@ -155,27 +158,32 @@ class TestPairingCounts:
         # empty graph has no component, a lone bare vertex has one
         shapes = shapes_up_to(12) + [(0,)]
         assert len(shapes) == 36 and () in shapes
-        assert literal_pairing_counts(()) == (1, 0)
-        assert literal_pairing_counts((0,)) == (1, 1)
+        assert literal_pairing_counts(()) == (1, 0) and _connected(()) == 0
+        assert literal_pairing_counts((0,)) == (1, 1) and _connected(((0,),)) == 1
         for shape in shapes:
-            assert pairing_counts(shape) == literal_pairing_counts(shape), shape
+            total, connected = literal_pairing_counts(shape)
+            assert total == double_factorial(sum(shape)), shape
+            assert connected_count(shape) == connected, shape
 
     def test_matches_per_vertex_walk(self):
         # a second reference, far enough to reach merges of merged components
         shapes = shapes_up_to(18)
         assert len(shapes) == 154
         for shape in shapes:
-            assert pairing_counts(shape) == per_vertex_pairing_counts(shape), shape
+            total, connected = per_vertex_pairing_counts(shape)
+            assert total == double_factorial(sum(shape)), shape
+            assert connected_count(shape) == connected, shape
 
     def test_steps_by_hand(self):
         # (3, 3): a half-edge of the first vertex pairs with one of its own
         # (2 ways, leaving (1,) and (3,)) or with the other vertex (3 ways,
         # leaving one component with two free half-edges at each vertex)
-        assert _pairings(((1,), (3,))) == (3, 3)
-        assert _pairings(((2, 2),)) == (3, 3)
-        assert pairing_counts((3, 3)) == (2 * 3 + 3 * 3, 2 * 3 + 3 * 3)
-        # a closed component while another is live: pairings, none connected
-        assert _pairings(((), (4,))) == (3, 0)
+        assert _connected(((1,), (3,))) == 3
+        assert _connected(((2, 2),)) == 3
+        assert connected_count((3, 3)) == 2 * 3 + 3 * 3
+        # (4, 4): the 3 * 3 pairings that close a vertex on itself while the
+        # other is live are the 105 - 96 that do not connect
+        assert double_factorial(8) - connected_count((4, 4)) == 3 * 3
 
 
 class TestPartitions:
@@ -244,10 +252,10 @@ class TestPartitionWeights:
 ])
 def test_argument_checks(oracle, m, max_e, message):
     # every check is made before the pairing walk is first entered
-    before = _pairings.cache_info()
+    before = _connected.cache_info()
     with pytest.raises(UsageError, match=message):
         oracle(COMM, m, max_e)
-    assert _pairings.cache_info() == before
+    assert _connected.cache_info() == before
 
 
 class TestAllGraphsOracle:
@@ -271,6 +279,13 @@ class TestAllGraphsOracle:
     def test_larger_max_e_changes_nothing(self):
         assert (oracle_all_graphs_coefficient(COMM, 1, 3)
                 == oracle_all_graphs_coefficient(COMM, 1, 6))
+
+    def test_never_walks(self):
+        # every shape on 2e half-edges has (2e - 1)!! pairings, so the
+        # all-graphs sum needs no walk
+        before = _connected.cache_info()
+        assert oracle_all_graphs_coefficient(COMM, 6, 18) == all_graphs_series(COMM, 7)[6]
+        assert _connected.cache_info() == before
 
     @pytest.mark.parametrize("name", ["commutative", "associative", "lie", "chord"])
     @pytest.mark.parametrize("m", range(1, 7))
