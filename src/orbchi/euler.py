@@ -31,11 +31,21 @@ Both run on lists, over whatever exact ring the species' q_n lie in; only
 the public functions wrap the result in a ``TSeries``.  The tests run them
 on a species whose q_n are polynomial variables, so that one check covers
 every species at once.
+
+A deep sum splits between two processes (``_split_sum``): a forked child
+starts from the column P_v0 = A^v0 / v0!, made by repeated squaring, and
+sums the columns v >= v0 while the parent sums v < v0.  Both halves run
+the same ``_column_sum``, and the two exact partial sums add up to the
+serial one, bit for bit.
 """
 
 from __future__ import annotations
 
+import marshal
+import os
+import sys
 from fractions import Fraction
+from math import factorial
 from typing import NamedTuple
 
 from .series import TSeries
@@ -44,10 +54,17 @@ from .species import Species, UsageError
 __all__ = ["EulerTable", "all_graphs_series", "connected_series",
            "euler_characteristic"]
 
-# The largest loop order accepted: the cost grows about as loops^3.8 (lie
-# takes 5.8 s at 80 loops and 81 s at 160 on a 2-vCPU VM), so a 1000-loop
-# table would take about a day.
+# The largest loop order accepted: lie takes 4.1 s at 80 loops and 42 s at
+# 160 on a 2-vCPU VM with the column sum split between two processes (about
+# 6 s and 80 s in one), and the cost grows about as loops^3.4-3.8, so a
+# 1000-loop table would take about half a day.
 MAX_LOOPS = 1000
+
+# ``_split_sum`` forks once n / k_min reaches this (lie from 41 loops, chord
+# from 81): there each half runs for about a quarter second or more, and on
+# a 2-vCPU VM the split won (lie 41: 0.69 -> 0.50 s, chord 81: 0.72 ->
+# 0.57 s) where it lost at chord 60 (0.30 -> 0.37 s).
+SPLIT_FROM = 80
 
 
 class EulerTable(NamedTuple):
@@ -70,18 +87,24 @@ def all_graphs_series(species: Species, loops: int) -> TSeries:
 
     The result has order loops - 1 and constant term 1 (the empty graph);
     loops must lie in 2..MAX_LOOPS, and the species must cover valences up
-    to 2 * loops.  Summed one vertex count at a time (step 1 above).
+    to 2 * loops.  Summed one vertex count at a time (step 1 above), in
+    two processes where ``_split_sum`` splits the sum.
     """
     if loops < 2:
         raise UsageError("max-loops must be >= 2")
     if loops > MAX_LOOPS:
         raise UsageError(f"max-loops must be <= {MAX_LOOPS}")
     species.check_coverage(2 * loops)
-    return TSeries(_column_sum(species, loops - 1))
+    return TSeries(_split_sum(species, loops - 1) or _column_sum(species, loops - 1))
 
 
-def _column_sum(species: Species, order: int) -> list:
-    """g_0..g_order of the all-graphs series, by step 1 above."""
+def _column_sum(species: Species, order: int, v: int = 0, stop: int | None = None,
+                col: dict | None = None) -> list:
+    """g_0..g_order of the all-graphs series, by step 1 above.
+
+    Only vertex counts v..stop-1 are summed (all of them by default), from
+    the column ``col`` = P_v, which is P_0 = 1 by default.
+    """
     n = 2 * order
     # (k, a_k) in rising k, the nonzero terms of E's s-rows
     a = [(k, -q) for k in range(1, n + 1) if (q := species.q(k + 2))]
@@ -89,8 +112,9 @@ def _column_sum(species: Species, order: int) -> list:
     for m in range(1, 3 * order + 1):
         ch.append((2 * m - 1) * ch[-1])
     g = [Fraction(0)] * (order + 1)
-    v, col = 0, {0: Fraction(1)}  # P_0 = 1; a column maps s-degree to coefficient
-    while col:  # P_v is empty once v > n, or at once when E = 0
+    if col is None:
+        col = {0: Fraction(1)}  # a column maps s-degree to coefficient
+    while col and v != stop:  # P_v is empty once v > n, or at once when E = 0
         for i, c in col.items():
             if not i % 2:
                 g[i // 2] += ch[i // 2 + v] * c
@@ -103,6 +127,85 @@ def _column_sum(species: Species, order: int) -> list:
                 acc[j + k] = acc.get(j + k, 0) + ak * c
         col = {i: c / v for i, c in acc.items() if c}
     return g
+
+
+def _power_column(species: Species, order: int, v: int) -> dict:
+    """The column P_v = A^v / v!, by repeated squaring of A in ``TSeries``."""
+    n = 2 * order
+    power = TSeries([1] + [0] * n)
+    square = TSeries([0] + [-species.q(k + 2) for k in range(1, n + 1)])
+    for bit in bin(v)[:2:-1]:  # v's binary digits below the top one, lowest first
+        if bit == "1":
+            power *= square
+        square *= square
+    power *= square
+    return {i: power[i] / factorial(v) for i in range(n + 1) if power[i]}
+
+
+def _split_point(species: Species, order: int) -> int:
+    """The vertex count v0 at which ``_split_sum`` splits, or 0 for none.
+
+    With k_min the lowest s-degree of A, column v spans s-degrees
+    v * k_min..n, so n / k_min bounds the number of columns and sets the
+    work; v0 = n / (4 k_min) balances the head against the power and the
+    tail.
+    """
+    n = 2 * order
+    k_min = next((k for k in range(1, n + 1) if species.q(k + 2)), 0)
+    if not k_min or n // k_min < SPLIT_FROM:
+        return 0
+    return n // (4 * k_min)
+
+
+def _split_sum(species: Species, order: int) -> list | None:
+    """g_0..g_order, with the vertex counts v >= v0 summed in a forked
+    child; None, and no child, where ``_split_point`` gives no v0 or the
+    platform cannot split (one CPU, another thread alive, no ``os.fork``).
+
+    The child sends its partial sums back over a pipe as marshalled
+    (numerator, denominator) pairs, or a message if it fails, and always
+    ends in ``os._exit``.  The parent sums v < v0, adds the halves exactly
+    and reaps the child, killing it first if its own half raises.
+    """
+    v0 = _split_point(species, order)
+    threading = sys.modules.get("threading")  # never imported: no thread started
+    if not (v0 and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2
+            and (threading is None or threading.active_count() == 1)):
+        return None
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if not pid:
+        status = 1  # kept if an interrupt ends the child, which then sends nothing
+        try:
+            try:
+                tail = _column_sum(species, order, v0, col=_power_column(species, order, v0))
+                data, status = marshal.dumps([(c.numerator, c.denominator) for c in tail]), 0
+            except Exception as exc:
+                data = marshal.dumps(str(exc) or type(exc).__name__)
+            with open(w, "wb") as pipe:
+                pipe.write(data)
+        finally:
+            os._exit(status)
+    os.close(w)
+    with open(r, "rb") as pipe:
+        try:
+            head = _column_sum(species, order, stop=v0)
+            data = pipe.read()
+        except BaseException:
+            os.kill(pid, 9)  # SIGKILL, without loading the signal module
+            raise
+        finally:
+            status = os.waitpid(pid, 0)[1]
+    if status:
+        why = marshal.loads(data) if data else f"wait status {status}"
+        raise RuntimeError(f"the forked half of the column sum failed: {why}")
+    return [h + Fraction(*t) for h, t in zip(head, marshal.loads(data))]
 
 
 def connected_series(g: TSeries) -> TSeries:

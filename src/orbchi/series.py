@@ -1,8 +1,11 @@
 """Exact truncated series arithmetic over the rationals.
 
-Two carriers cover everything the Euler-characteristic pipeline needs, and
-both store the same rows: row i is a sparse map from a ``y``-degree to a
-nonzero ``Fraction``.
+Two carriers, which store the same rows: row i is a sparse map from a
+``y``-degree to a nonzero ``Fraction``.  The Euler-characteristic pipeline
+runs its recurrences on lists and uses ``TSeries`` to hold its results and,
+in the forked half of a split column sum, to raise the vertex exponent to a
+power; ``BivariatePoly`` carries the frozen reference route, ``exp``
+followed by ``moments.substitute_moments``.
 
 ``BivariatePoly``
     a polynomial in the formal variables ``s`` and ``y``, truncated at a fixed

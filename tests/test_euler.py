@@ -1,6 +1,10 @@
 """Unit tests for the species -> Euler characteristic table pipeline."""
 
+import json
+import os
 import random
+import threading
+import time
 from fractions import Fraction as F
 from math import factorial
 
@@ -8,16 +12,21 @@ import pytest
 from sympy.polys.domains import QQ
 from sympy.polys.rings import ring
 
+import orbchi.euler
+from orbchi.cli import main
 from orbchi.euler import (
     MAX_LOOPS,
+    SPLIT_FROM,
     EulerTable,
     _column_sum,
+    _split_point,
+    _split_sum,
     all_graphs_series,
     connected_series,
     euler_characteristic,
 )
 from orbchi.series import TSeries
-from orbchi.species import Species, UsageError, builtin_species
+from orbchi.species import Species, UsageError, builtin_species, species_from_file
 
 # q_n as a variable, so that each g_m is a polynomial in the q_n
 Q = ring([f"q{n}" for n in range(3, 33)], QQ)[1:]
@@ -173,3 +182,147 @@ class TestEulerCharacteristic:
         assert list(euler_characteristic(sp, 3).entries) == [2, 3]
         with pytest.raises(ValueError, match="n=8"):
             euler_characteristic(sp, 4)
+
+
+# the column sum splits between two processes only where os.fork exists and
+# this process may run on two CPUs
+SPLITS = (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+          and len(os.sched_getaffinity(0)) >= 2)
+LIE = builtin_species("lie")
+LIE_CROSSOVER = SPLIT_FROM // 2  # the lowest order at which lie splits: 41 loops
+
+
+def file_species(tmp_path, name, valences, top):
+    """A species file with random nonzero Q_n at ``valences`` and zero at
+    the other n up to ``top``, loaded as a user's would be."""
+    rng = random.Random(name)
+    counts = {str(n): f"{rng.choice((-1, 1)) * rng.randint(1, 9)}/{rng.randint(1, 9)}"
+              if n in valences else 0 for n in range(3, top + 1)}
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"name": name, "Q": counts}))
+    return species_from_file(path)
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Every os.fork call of the test, made through a counting wrapper."""
+    calls, fork = [], os.fork
+
+    def counted():
+        calls.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+@pytest.fixture
+def no_fork(monkeypatch):
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+
+
+@pytest.mark.skipif(not SPLITS, reason="the column sum splits only with os.fork and 2 CPUs")
+class TestSplitSum:
+    """Above the crossover the column sum runs in two processes; the table
+    is the serial one, and no process outlives the call."""
+
+    @pytest.mark.parametrize("name", ["commutative", "associative", "lie", "chord",
+                                      "seeded", "even"])
+    def test_split_equals_serial(self, tmp_path, forks, name):
+        if name == "seeded":
+            sp = file_species(tmp_path, name, range(3, 87), 86)
+        elif name == "even":  # k_min = 2, as for chord
+            sp = file_species(tmp_path, name, range(4, 167, 2), 166)
+        else:
+            sp = builtin_species(name)
+        # the crossover: the lowest order with n / k_min >= SPLIT_FROM, n = 2 * order
+        crossover = LIE_CROSSOVER * (2 if name in ("chord", "even") else 1)
+        assert _split_point(sp, crossover - 1) == 0 < _split_point(sp, crossover)
+        # g_m does not depend on the order the sum is truncated at
+        serial = _column_sum(sp, crossover + 1)
+        for order in (crossover, crossover + 1):
+            g = all_graphs_series(sp, order + 1)
+            assert_no_child()
+            assert g == TSeries(serial[:order + 1])
+        assert len(forks) == 2
+
+    def test_zero_species_does_not_split(self, no_fork):
+        zero = Species("zero", lambda n: F(0))
+        assert _split_point(zero, 500) == 0
+        assert all_graphs_series(zero, 101) == TSeries([1] + [0] * 100)
+
+    def test_no_fork_without_os_fork(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        assert _split_sum(LIE, LIE_CROSSOVER) is None
+
+    def test_no_fork_without_affinity(self, monkeypatch, no_fork):
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert _split_sum(LIE, LIE_CROSSOVER) is None
+
+    def test_no_fork_on_one_cpu(self, monkeypatch, no_fork):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert _split_sum(LIE, LIE_CROSSOVER) is None
+
+    def test_no_fork_beside_another_thread(self, no_fork):
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait)
+        thread.start()
+        try:
+            assert _split_sum(LIE, LIE_CROSSOVER) is None
+        finally:
+            done.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    def test_failed_fork_falls_back_to_serial(self, monkeypatch):
+        def refuse():
+            raise OSError("fork refused")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        before = os.pipe()
+        for fd in before:
+            os.close(fd)
+        assert _split_sum(LIE, LIE_CROSSOVER) is None
+        after = os.pipe()
+        for fd in after:
+            os.close(fd)
+        assert after == before  # still the lowest free descriptors: the pipe is closed
+
+    def test_failing_child_is_one_error_line(self, monkeypatch, capsys):
+        def power_fails(*args):
+            raise ValueError("no power")
+
+        monkeypatch.setattr(orbchi.euler, "_power_column", power_fails)
+        assert main(["compute", "--species", "lie", "--max-loops", "41"]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: the forked half of the column sum failed: no power\n")
+        assert_no_child()
+
+    def test_killed_child_is_an_error(self, monkeypatch):
+        monkeypatch.setattr(orbchi.euler, "_power_column",
+                            lambda *args: os.kill(os.getpid(), 9))
+        with pytest.raises(RuntimeError, match="failed: wait status 9$"):
+            all_graphs_series(LIE, LIE_CROSSOVER + 1)
+        assert_no_child()
+
+    def test_failing_parent_kills_the_child(self, monkeypatch):
+        column_sum = orbchi.euler._column_sum
+
+        def head_fails(species, order, v=0, stop=None, col=None):
+            if stop is not None:
+                raise ValueError("no head")
+            return column_sum(species, order, v, stop, col)
+
+        monkeypatch.setattr(orbchi.euler, "_column_sum", head_fails)
+        # a child that would sleep for a minute: only a kill ends it sooner
+        monkeypatch.setattr(orbchi.euler, "_power_column", lambda *args: time.sleep(60))
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="no head"):
+            all_graphs_series(LIE, LIE_CROSSOVER + 1)
+        assert time.monotonic() - start < 30
+        assert_no_child()

@@ -121,3 +121,15 @@ def test_cli_import_leaves_out_dataclasses():
     out = subprocess.run([sys.executable, "-S", "-c", code, src],
                          capture_output=True, text=True, check=True).stdout
     assert out == "False\n"
+
+
+def test_cli_import_leaves_out_what_the_split_avoids():
+    # the forked column sum kills its child by number and asks for threads
+    # only where threading is loaded already, so importing the CLI under -S
+    # loads neither module
+    src = str(Path(orbchi.__file__).resolve().parent.parent)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import orbchi.cli; "
+            "print(sorted({'signal', 'threading'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code, src],
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
