@@ -33,10 +33,11 @@ on a species whose q_n are polynomial variables, so that one check covers
 every species at once.
 
 A deep sum splits between two processes (``_split_sum``): a forked child
-starts from the column P_v0 = A^v0 / v0!, made by repeated squaring, and
-sums the columns v >= v0 while the parent sums v < v0.  Both halves run
-the same ``_column_sum``, and the two exact partial sums add up to the
-serial one, bit for bit.
+starts from the column P_v0 = A^v0 / v0!, made in one pass of Miller's
+power recurrence over A's terms (``_power_column``), and sums the columns
+v >= v0 while the parent sums v < v0.  Both halves run the same
+``_column_sum``, and the two exact partial sums add up to the serial one,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -54,16 +55,17 @@ from .species import Species, UsageError
 __all__ = ["EulerTable", "all_graphs_series", "connected_series",
            "euler_characteristic"]
 
-# The largest loop order accepted: lie takes 4.1 s at 80 loops and 42 s at
+# The largest loop order accepted: lie takes 3.6 s at 80 loops and 44 s at
 # 160 on a 2-vCPU VM with the column sum split between two processes (about
-# 6 s and 80 s in one), and the cost grows about as loops^3.4-3.8, so a
+# 6.4 s and 74 s in one), and the cost grows about as loops^3.4-3.8, so a
 # 1000-loop table would take about half a day.
 MAX_LOOPS = 1000
 
 # ``_split_sum`` forks once n / k_min reaches this (lie from 41 loops, chord
-# from 81): there each half runs for about a quarter second or more, and on
-# a 2-vCPU VM the split won (lie 41: 0.69 -> 0.50 s, chord 81: 0.72 ->
-# 0.57 s) where it lost at chord 60 (0.30 -> 0.37 s).
+# from 81).  On a 2-vCPU VM, whole processes, the split won there (lie 41:
+# 0.76 -> 0.46 s, chord 81: 0.82 -> 0.52 s) and tied at lie 30 and 36.
+# chord already won at 60 loops (0.35 -> 0.27 s), where its serial sum is
+# longer than lie's at the same n / k_min; one threshold serves both.
 SPLIT_FROM = 80
 
 
@@ -98,12 +100,11 @@ def all_graphs_series(species: Species, loops: int) -> TSeries:
     return TSeries(_split_sum(species, loops - 1) or _column_sum(species, loops - 1))
 
 
-def _column_sum(species: Species, order: int, v: int = 0, stop: int | None = None,
-                col: dict | None = None) -> list:
+def _column_sum(species: Species, order: int, start: int = 0, stop: int | None = None) -> list:
     """g_0..g_order of the all-graphs series, by step 1 above.
 
-    Only vertex counts v..stop-1 are summed (all of them by default), from
-    the column ``col`` = P_v, which is P_0 = 1 by default.
+    Only vertex counts start..stop-1 are summed (all of them by default),
+    from the column P_start: P_0 = 1, or ``_power_column``.
     """
     n = 2 * order
     # (k, a_k) in rising k, the nonzero terms of E's s-rows
@@ -112,8 +113,8 @@ def _column_sum(species: Species, order: int, v: int = 0, stop: int | None = Non
     for m in range(1, 3 * order + 1):
         ch.append((2 * m - 1) * ch[-1])
     g = [Fraction(0)] * (order + 1)
-    if col is None:
-        col = {0: Fraction(1)}  # a column maps s-degree to coefficient
+    v = start
+    col = _power_column(a, n, v) if v else {0: Fraction(1)}  # s-degree -> coefficient
     while col and v != stop:  # P_v is empty once v > n, or at once when E = 0
         for i, c in col.items():
             if not i % 2:
@@ -129,17 +130,21 @@ def _column_sum(species: Species, order: int, v: int = 0, stop: int | None = Non
     return g
 
 
-def _power_column(species: Species, order: int, v: int) -> dict:
-    """The column P_v = A^v / v!, by repeated squaring of A in ``TSeries``."""
-    n = 2 * order
-    power = TSeries([1] + [0] * n)
-    square = TSeries([0] + [-species.q(k + 2) for k in range(1, n + 1)])
-    for bit in bin(v)[:2:-1]:  # v's binary digits below the top one, lowest first
-        if bit == "1":
-            power *= square
-        square *= square
-    power *= square
-    return {i: power[i] / factorial(v) for i in range(n + 1) if power[i]}
+def _power_column(a: list, n: int, v: int) -> dict:
+    """The column P_v = A^v / v! up to s-degree n, for 1 <= v <= n / k0,
+    from A's nonzero terms ``a`` = [(k, a_k)] in rising k, lowest (k0, b_0).
+
+    With A = x^k0 B, B^v = sum_m p_m x^m obeys Miller's power recurrence
+    (Knuth, TAOCP vol. 2, sec. 4.7)
+    m b_0 p_m = sum_{j=1..m} ((v+1) j - m) b_j p_(m-j), p_0 = b_0^v / v!,
+    and P_v[v k0 + m] = p_m.
+    """
+    k0, b0 = a[0]
+    b = [(k - k0, ak) for k, ak in a[1:]]  # (j, b_j) for j >= 1
+    p = [b0 ** v / factorial(v)]
+    for m in range(1, n - v * k0 + 1):
+        p.append(sum(((v + 1) * j - m) * bj * p[m - j] for j, bj in b if j <= m) / (m * b0))
+    return {v * k0 + m: c for m, c in enumerate(p) if c}
 
 
 def _split_point(species: Species, order: int) -> int:
@@ -147,8 +152,11 @@ def _split_point(species: Species, order: int) -> int:
 
     With k_min the lowest s-degree of A, column v spans s-degrees
     v * k_min..n, so n / k_min bounds the number of columns and sets the
-    work; v0 = n / (4 k_min) balances the head against the power and the
-    tail.
+    work.  v0 = n / (4 k_min) leaves the parent's head, v < v0, a little
+    more work than the child's start column and tail: at lie 80 loops,
+    3.4-3.8 s against 2.9-3.3 s.  A lower v0, 2n / (9 k_min), won on
+    commutative, tied on lie and associative and lost on chord (whole
+    processes at 80 and 100 loops), so this one stays.
     """
     n = 2 * order
     k_min = next((k for k in range(1, n + 1) if species.q(k + 2)), 0)
@@ -184,7 +192,7 @@ def _split_sum(species: Species, order: int) -> list | None:
         status = 1  # kept if an interrupt ends the child, which then sends nothing
         try:
             try:
-                tail = _column_sum(species, order, v0, col=_power_column(species, order, v0))
+                tail = _column_sum(species, order, v0)
                 data, status = marshal.dumps([(c.numerator, c.denominator) for c in tail]), 0
             except Exception as exc:
                 data = marshal.dumps(str(exc) or type(exc).__name__)
@@ -195,7 +203,7 @@ def _split_sum(species: Species, order: int) -> list | None:
     os.close(w)
     with open(r, "rb") as pipe:
         try:
-            head = _column_sum(species, order, stop=v0)
+            head = _column_sum(species, order, 0, v0)
             data = pipe.read()
         except BaseException:
             os.kill(pid, 9)  # SIGKILL, without loading the signal module
@@ -203,7 +211,10 @@ def _split_sum(species: Species, order: int) -> list | None:
         finally:
             status = os.waitpid(pid, 0)[1]
     if status:
-        why = marshal.loads(data) if data else f"wait status {status}"
+        # a message only from a child that sent one and exited 1; a killed
+        # child may have sent its sums, or part of them
+        sent = data and os.waitstatus_to_exitcode(status) == 1
+        why = marshal.loads(data) if sent else f"wait status {status}"
         raise RuntimeError(f"the forked half of the column sum failed: {why}")
     return [h + Fraction(*t) for h, t in zip(head, marshal.loads(data))]
 

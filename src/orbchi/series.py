@@ -2,9 +2,8 @@
 
 Two carriers, which store the same rows: row i is a sparse map from a
 ``y``-degree to a nonzero ``Fraction``.  The Euler-characteristic pipeline
-runs its recurrences on lists and uses ``TSeries`` to hold its results and,
-in the forked half of a split column sum, to raise the vertex exponent to a
-power; ``BivariatePoly`` carries the frozen reference route, ``exp``
+runs its recurrences on lists and uses ``TSeries`` only to hold its
+results; ``BivariatePoly`` carries the frozen reference route, ``exp``
 followed by ``moments.substitute_moments``.
 
 ``BivariatePoly``

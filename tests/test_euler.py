@@ -19,6 +19,7 @@ from orbchi.euler import (
     SPLIT_FROM,
     EulerTable,
     _column_sum,
+    _power_column,
     _split_point,
     _split_sum,
     all_graphs_series,
@@ -226,6 +227,34 @@ def no_fork(monkeypatch):
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
 
 
+class TestPowerColumn:
+    """The forked half's start column P_v = A^v / v!, by Miller's recurrence,
+    equals the power built with the public ``TSeries`` product."""
+
+    ORDER = 20
+
+    @pytest.mark.parametrize("name", ["commutative", "associative", "lie", "chord",
+                                      "k_min 2", "k_min 3"])
+    def test_equals_series_power(self, tmp_path, name):
+        n = 2 * self.ORDER
+        if name == "k_min 2":  # odd and even s-degrees
+            sp = file_species(tmp_path, "k2", range(4, n + 3), n + 2)
+        elif name == "k_min 3":  # with gaps
+            sp = file_species(tmp_path, "k3", [m for m in range(5, n + 3) if m % 3 != 1], n + 2)
+        else:
+            sp = builtin_species(name)
+        a = [(k, -q) for k in range(1, n + 1) if (q := sp.q(k + 2))]
+        k0 = a[0][0]
+        assert k0 == {"k_min 2": 2, "k_min 3": 3, "chord": 2}.get(name, 1)
+        base = TSeries([0] + [dict(a).get(k, 0) for k in range(1, n + 1)])
+        power = TSeries([1] + [0] * n)
+        for v in range(1, n // k0 + 1):
+            power *= base
+            expected = {i: power[i] / factorial(v) for i in range(n + 1) if power[i]}
+            assert _power_column(a, n, v) == expected
+            assert min(expected) == v * k0
+
+
 @pytest.mark.skipif(not SPLITS, reason="the column sum splits only with os.fork and 2 CPUs")
 class TestSplitSum:
     """Above the crossover the column sum runs in two processes; the table
@@ -310,13 +339,20 @@ class TestSplitSum:
             all_graphs_series(LIE, LIE_CROSSOVER + 1)
         assert_no_child()
 
+    def test_child_killed_after_sending_is_an_error(self, monkeypatch):
+        # the child sends its whole sums, then dies: the wait status, not the sums
+        monkeypatch.setattr(os, "_exit", lambda status: os.kill(os.getpid(), 9))
+        with pytest.raises(RuntimeError, match="failed: wait status 9$"):
+            all_graphs_series(LIE, LIE_CROSSOVER + 1)
+        assert_no_child()
+
     def test_failing_parent_kills_the_child(self, monkeypatch):
         column_sum = orbchi.euler._column_sum
 
-        def head_fails(species, order, v=0, stop=None, col=None):
+        def head_fails(species, order, start=0, stop=None):
             if stop is not None:
                 raise ValueError("no head")
-            return column_sum(species, order, v, stop, col)
+            return column_sum(species, order, start, stop)
 
         monkeypatch.setattr(orbchi.euler, "_column_sum", head_fails)
         # a child that would sleep for a minute: only a kill ends it sooner
