@@ -32,21 +32,19 @@ the public functions wrap the result in a ``TSeries``.  The tests run them
 on a species whose q_n are polynomial variables, so that one check covers
 every species at once.
 
-A deep sum splits between two processes (``_split_sum``): a forked child
-starts from the column P_v0 = A^v0 / v0!, made in one pass of Miller's
-power recurrence over A's terms (``_power_column``), and sums the columns
-v >= v0 while the parent sums v < v0.  Both halves run the same
-``_column_sum``, and the two exact partial sums add up to the serial one,
-bit for bit.
+A deep sum (``_integer_column_sum``) runs the same recurrence in integers:
+A scaled by the lcm D of its denominators to integer coefficients
+alpha_k, and each column held as integer numerators N_v over one
+denominator d_v, with N_v[i] = sum_k alpha_k N_(v-1)[i-k] and
+d_v = v D d_(v-1), reduced by one gcd per column (``_power_columns``
+makes them).  Only the terms it adds to g are ``Fraction``s, so its sums
+are those of ``_column_sum``, bit for bit.
 """
 
 from __future__ import annotations
 
-import marshal
-import os
-import sys
 from fractions import Fraction
-from math import factorial
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .series import TSeries
@@ -55,18 +53,17 @@ from .species import Species, UsageError
 __all__ = ["EulerTable", "all_graphs_series", "connected_series",
            "euler_characteristic"]
 
-# The largest loop order accepted: lie takes 3.6 s at 80 loops and 44 s at
-# 160 on a 2-vCPU VM with the column sum split between two processes (about
-# 6.4 s and 74 s in one), and the cost grows about as loops^3.4-3.8, so a
-# 1000-loop table would take about half a day.
+# The largest loop order accepted: in one process on a 2-vCPU VM, the lie
+# table's sum takes 0.3-0.55 s at 80 loops, 2.1 s at 120, 8-11 s at 160 and
+# 22 s at 200 (the log adds 2-4%), about loops^4.4, so a 1000-loop table
+# would take about 8-12 hours.
 MAX_LOOPS = 1000
 
-# ``_split_sum`` forks once n / k_min reaches this (lie from 41 loops, chord
-# from 81).  On a 2-vCPU VM, whole processes, the split won there (lie 41:
-# 0.76 -> 0.46 s, chord 81: 0.82 -> 0.52 s) and tied at lie 30 and 36.
-# chord already won at 60 loops (0.35 -> 0.27 s), where its serial sum is
-# longer than lie's at the same n / k_min; one threshold serves both.
-SPLIT_FROM = 80
+# The sum runs in integers (``_integer_column_sum``) once n / k_min reaches
+# this: lie from 41 loops, chord from 81.  Shallower sums keep
+# ``_column_sum`` until the benchmark's peak-memory metric measures the
+# program alone (ROADMAP.md, integer arithmetic).
+INTEGER_FROM = 80
 
 
 class EulerTable(NamedTuple):
@@ -90,32 +87,28 @@ def all_graphs_series(species: Species, loops: int) -> TSeries:
     The result has order loops - 1 and constant term 1 (the empty graph);
     loops must lie in 2..MAX_LOOPS, and the species must cover valences up
     to 2 * loops.  Summed one vertex count at a time (step 1 above), in
-    two processes where ``_split_sum`` splits the sum.
+    integers from ``INTEGER_FROM`` on.
     """
     if loops < 2:
         raise UsageError("max-loops must be >= 2")
     if loops > MAX_LOOPS:
         raise UsageError(f"max-loops must be <= {MAX_LOOPS}")
     species.check_coverage(2 * loops)
-    return TSeries(_split_sum(species, loops - 1) or _column_sum(species, loops - 1))
+    n = 2 * (loops - 1)
+    k_min = next((k for k in range(1, n + 1) if species.q(k + 2)), 0)
+    deep = k_min and n // k_min >= INTEGER_FROM
+    return TSeries((_integer_column_sum if deep else _column_sum)(species, loops - 1))
 
 
-def _column_sum(species: Species, order: int, start: int = 0, stop: int | None = None) -> list:
-    """g_0..g_order of the all-graphs series, by step 1 above.
-
-    Only vertex counts start..stop-1 are summed (all of them by default),
-    from the column P_start: P_0 = 1, or ``_power_column``.
-    """
+def _column_sum(species: Species, order: int) -> list:
+    """g_0..g_order of the all-graphs series, by step 1 above."""
     n = 2 * order
     # (k, a_k) in rising k, the nonzero terms of E's s-rows
     a = [(k, -q) for k in range(1, n + 1) if (q := species.q(k + 2))]
-    ch = [1]  # ch[m] = Ch_(2m) = (2m-1)!!, up to the top y-degree 3n
-    for m in range(1, 3 * order + 1):
-        ch.append((2 * m - 1) * ch[-1])
+    ch = _double_factorials(order)
     g = [Fraction(0)] * (order + 1)
-    v = start
-    col = _power_column(a, n, v) if v else {0: Fraction(1)}  # s-degree -> coefficient
-    while col and v != stop:  # P_v is empty once v > n, or at once when E = 0
+    v, col = 0, {0: Fraction(1)}  # s-degree -> coefficient
+    while col:  # P_v is empty once v > n, or at once when E = 0
         for i, c in col.items():
             if not i % 2:
                 g[i // 2] += ch[i // 2 + v] * c
@@ -130,93 +123,50 @@ def _column_sum(species: Species, order: int, start: int = 0, stop: int | None =
     return g
 
 
-def _power_column(a: list, n: int, v: int) -> dict:
-    """The column P_v = A^v / v! up to s-degree n, for 1 <= v <= n / k0,
-    from A's nonzero terms ``a`` = [(k, a_k)] in rising k, lowest (k0, b_0).
-
-    With A = x^k0 B, B^v = sum_m p_m x^m obeys Miller's power recurrence
-    (Knuth, TAOCP vol. 2, sec. 4.7)
-    m b_0 p_m = sum_{j=1..m} ((v+1) j - m) b_j p_(m-j), p_0 = b_0^v / v!,
-    and P_v[v k0 + m] = p_m.
-    """
-    k0, b0 = a[0]
-    b = [(k - k0, ak) for k, ak in a[1:]]  # (j, b_j) for j >= 1
-    p = [b0 ** v / factorial(v)]
-    for m in range(1, n - v * k0 + 1):
-        p.append(sum(((v + 1) * j - m) * bj * p[m - j] for j, bj in b if j <= m) / (m * b0))
-    return {v * k0 + m: c for m, c in enumerate(p) if c}
-
-
-def _split_point(species: Species, order: int) -> int:
-    """The vertex count v0 at which ``_split_sum`` splits, or 0 for none.
-
-    With k_min the lowest s-degree of A, column v spans s-degrees
-    v * k_min..n, so n / k_min bounds the number of columns and sets the
-    work.  v0 = n / (4 k_min) leaves the parent's head, v < v0, a little
-    more work than the child's start column and tail: at lie 80 loops,
-    3.4-3.8 s against 2.9-3.3 s.  A lower v0, 2n / (9 k_min), won on
-    commutative, tied on lie and associative and lost on chord (whole
-    processes at 80 and 100 loops), so this one stays.
-    """
+def _integer_column_sum(species: Species, order: int) -> list:
+    """``_column_sum`` for rational q_n, with column v held as integer
+    numerators over one denominator d (the module docstring's N_v, d_v)."""
     n = 2 * order
-    k_min = next((k for k in range(1, n + 1) if species.q(k + 2)), 0)
-    if not k_min or n // k_min < SPLIT_FROM:
-        return 0
-    return n // (4 * k_min)
+    a = [(k, -q) for k in range(1, n + 1) if (q := species.q(k + 2))]
+    ch = _double_factorials(order)
+    g = [Fraction(0)] * (order + 1)
+    for v, (col, d) in enumerate(_power_columns(a, n)):
+        for i, c in col.items():
+            if not i % 2:
+                g[i // 2] += Fraction(ch[i // 2 + v] * c, d)
+    return g
 
 
-def _split_sum(species: Species, order: int) -> list | None:
-    """g_0..g_order, with the vertex counts v >= v0 summed in a forked
-    child; None, and no child, where ``_split_point`` gives no v0 or the
-    platform cannot split (one CPU, another thread alive, no ``os.fork``).
+def _power_columns(a: list, n: int):
+    """P_v = A^v / v! up to s-degree n, for v = 0, 1, ... while nonzero, as
+    (N_v, d_v): integer numerators by s-degree over one denominator, with
+    no factor common to all of them.  ``a`` lists A's nonzero terms
+    (k, a_k) in rising k."""
+    scale = lcm(*(c.denominator for _, c in a))  # D
+    alpha = [(k, c.numerator * (scale // c.denominator)) for k, c in a]
+    v, col, d = 0, {0: 1}, 1
+    while col:
+        yield col, d
+        v += 1
+        acc: dict[int, int] = {}
+        for j, c in col.items():
+            for k, ak in alpha:
+                if j + k > n:
+                    break
+                acc[j + k] = acc.get(j + k, 0) + ak * c
+        d *= v * scale
+        common = gcd(d, *acc.values())
+        col = {i: c // common for i, c in acc.items() if c}
+        d //= common
 
-    The child sends its partial sums back over a pipe as marshalled
-    (numerator, denominator) pairs, or a message if it fails, and always
-    ends in ``os._exit``.  The parent sums v < v0, adds the halves exactly
-    and reaps the child, killing it first if its own half raises.
-    """
-    v0 = _split_point(species, order)
-    threading = sys.modules.get("threading")  # never imported: no thread started
-    if not (v0 and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) >= 2
-            and (threading is None or threading.active_count() == 1)):
-        return None
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        return None
-    if not pid:
-        status = 1  # kept if an interrupt ends the child, which then sends nothing
-        try:
-            try:
-                tail = _column_sum(species, order, v0)
-                data, status = marshal.dumps([(c.numerator, c.denominator) for c in tail]), 0
-            except Exception as exc:
-                data = marshal.dumps(str(exc) or type(exc).__name__)
-            with open(w, "wb") as pipe:
-                pipe.write(data)
-        finally:
-            os._exit(status)
-    os.close(w)
-    with open(r, "rb") as pipe:
-        try:
-            head = _column_sum(species, order, 0, v0)
-            data = pipe.read()
-        except BaseException:
-            os.kill(pid, 9)  # SIGKILL, without loading the signal module
-            raise
-        finally:
-            status = os.waitpid(pid, 0)[1]
-    if status:
-        # a message only from a child that sent one and exited 1; a killed
-        # child may have sent its sums, or part of them
-        sent = data and os.waitstatus_to_exitcode(status) == 1
-        why = marshal.loads(data) if sent else f"wait status {status}"
-        raise RuntimeError(f"the forked half of the column sum failed: {why}")
-    return [h + Fraction(*t) for h, t in zip(head, marshal.loads(data))]
+
+def _double_factorials(order: int) -> list[int]:
+    """ch[m] = Ch_(2m) = (2m-1)!! for m <= 3 * order: up to y-degree 3n,
+    the top one a column sum to ``order`` reaches."""
+    ch = [1]
+    for m in range(1, 3 * order + 1):
+        ch.append((2 * m - 1) * ch[-1])
+    return ch
 
 
 def connected_series(g: TSeries) -> TSeries:

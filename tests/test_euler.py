@@ -1,27 +1,23 @@
 """Unit tests for the species -> Euler characteristic table pipeline."""
 
 import json
-import os
 import random
-import threading
-import time
 from fractions import Fraction as F
-from math import factorial
+from math import factorial, gcd
+from pathlib import Path
 
 import pytest
 from sympy.polys.domains import QQ
 from sympy.polys.rings import ring
 
 import orbchi.euler
-from orbchi.cli import main
 from orbchi.euler import (
+    INTEGER_FROM,
     MAX_LOOPS,
-    SPLIT_FROM,
     EulerTable,
     _column_sum,
-    _power_column,
-    _split_point,
-    _split_sum,
+    _integer_column_sum,
+    _power_columns,
     all_graphs_series,
     connected_series,
     euler_characteristic,
@@ -185,12 +181,7 @@ class TestEulerCharacteristic:
             euler_characteristic(sp, 4)
 
 
-# the column sum splits between two processes only where os.fork exists and
-# this process may run on two CPUs
-SPLITS = (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-          and len(os.sched_getaffinity(0)) >= 2)
-LIE = builtin_species("lie")
-LIE_CROSSOVER = SPLIT_FROM // 2  # the lowest order at which lie splits: 41 loops
+GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_60.json").read_text())["species"]
 
 
 def file_species(tmp_path, name, valences, top):
@@ -204,32 +195,41 @@ def file_species(tmp_path, name, valences, top):
     return species_from_file(path)
 
 
-def assert_no_child():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+def refuse(species, order):
+    pytest.fail("the other column sum ran")
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """Every os.fork call of the test, made through a counting wrapper."""
-    calls, fork = [], os.fork
+class TestIntegerColumnSum:
+    """The deep sum, in integers, equals ``_column_sum`` bit for bit.  Each
+    g_m is the same whatever order the sum is cut at, so the sums to ORDER
+    check every g_m up to it; the low orders check the cut itself."""
 
-    def counted():
-        calls.append(None)
-        return fork()
+    ORDER = 30
 
-    monkeypatch.setattr(os, "fork", counted)
-    return calls
-
-
-@pytest.fixture
-def no_fork(monkeypatch):
-    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    @pytest.mark.parametrize("name", ["commutative", "associative", "lie", "chord",
+                                      "k_min 1", "k_min 2", "k_min 3", "zero"])
+    def test_equals_column_sum(self, tmp_path, name):
+        n = 2 * self.ORDER
+        if name == "k_min 1":  # with gaps
+            sp = file_species(tmp_path, "k1", [m for m in range(3, n + 3) if m % 4], n + 2)
+        elif name == "k_min 2":  # odd and even s-degrees
+            sp = file_species(tmp_path, "k2", range(4, n + 3), n + 2)
+        elif name == "k_min 3":  # with gaps
+            sp = file_species(tmp_path, "k3", [m for m in range(5, n + 3) if m % 3 != 1], n + 2)
+        elif name == "zero":
+            sp = Species("zero", lambda n: F(0))
+        else:
+            sp = builtin_species(name)
+        for order in (1, 2, self.ORDER):
+            g = _integer_column_sum(sp, order)
+            assert g == _column_sum(sp, order)
+            assert all(type(c) is F for c in g)
 
 
 class TestPowerColumn:
-    """The forked half's start column P_v = A^v / v!, by Miller's recurrence,
-    equals the power built with the public ``TSeries`` product."""
+    """The integer sum's column P_v = A^v / v!, as numerators over one
+    reduced denominator, equals the power built with the public ``TSeries``
+    product."""
 
     ORDER = 20
 
@@ -248,117 +248,70 @@ class TestPowerColumn:
         assert k0 == {"k_min 2": 2, "k_min 3": 3, "chord": 2}.get(name, 1)
         base = TSeries([0] + [dict(a).get(k, 0) for k in range(1, n + 1)])
         power = TSeries([1] + [0] * n)
-        for v in range(1, n // k0 + 1):
-            power *= base
+        columns = list(_power_columns(a, n))
+        assert len(columns) == n // k0 + 1  # P_v is empty once v * k0 > n
+        for v, (col, d) in enumerate(columns):
             expected = {i: power[i] / factorial(v) for i in range(n + 1) if power[i]}
-            assert _power_column(a, n, v) == expected
+            assert {i: F(c, d) for i, c in col.items()} == expected
             assert min(expected) == v * k0
+            assert all(type(c) is int for c in col.values()) and gcd(d, *col.values()) == 1
+            power *= base
 
 
-@pytest.mark.skipif(not SPLITS, reason="the column sum splits only with os.fork and 2 CPUs")
 class TestSplitSum:
-    """Above the crossover the column sum runs in two processes; the table
-    is the serial one, and no process outlives the call."""
+    """The deep sum, which once split between two processes, runs in one:
+    from the crossover n / k_min = INTEGER_FROM on it runs in integers, and
+    the table on each side of it is the serial ``_column_sum`` one."""
 
     @pytest.mark.parametrize("name", ["commutative", "associative", "lie", "chord",
                                       "seeded", "even"])
-    def test_split_equals_serial(self, tmp_path, forks, name):
+    def test_split_equals_serial(self, tmp_path, monkeypatch, name):
         if name == "seeded":
             sp = file_species(tmp_path, name, range(3, 87), 86)
         elif name == "even":  # k_min = 2, as for chord
             sp = file_species(tmp_path, name, range(4, 167, 2), 166)
         else:
             sp = builtin_species(name)
-        # the crossover: the lowest order with n / k_min >= SPLIT_FROM, n = 2 * order
-        crossover = LIE_CROSSOVER * (2 if name in ("chord", "even") else 1)
-        assert _split_point(sp, crossover - 1) == 0 < _split_point(sp, crossover)
-        # g_m does not depend on the order the sum is truncated at
-        serial = _column_sum(sp, crossover + 1)
-        for order in (crossover, crossover + 1):
-            g = all_graphs_series(sp, order + 1)
-            assert_no_child()
-            assert g == TSeries(serial[:order + 1])
-        assert len(forks) == 2
+        # the crossover: the lowest order with n / k_min >= INTEGER_FROM, n = 2 * order
+        crossover = INTEGER_FROM // 2 * (2 if name in ("chord", "even") else 1)
+        calls, integer_sum = [], orbchi.euler._integer_column_sum
 
-    def test_zero_species_does_not_split(self, no_fork):
+        def counted(species, order):
+            calls.append(order)
+            return integer_sum(species, order)
+
+        monkeypatch.setattr(orbchi.euler, "_integer_column_sum", counted)
+        # g_m does not depend on the order the sum is truncated at
+        serial = _column_sum(sp, crossover)
+        for order in (crossover - 1, crossover):
+            g = all_graphs_series(sp, order + 1)
+            assert g == TSeries(serial[:order + 1])
+        assert calls == [crossover]
+
+    def test_zero_species_does_not_split(self, monkeypatch):
+        monkeypatch.setattr(orbchi.euler, "_integer_column_sum", refuse)
         zero = Species("zero", lambda n: F(0))
-        assert _split_point(zero, 500) == 0
         assert all_graphs_series(zero, 101) == TSeries([1] + [0] * 100)
 
-    def test_no_fork_without_os_fork(self, monkeypatch):
-        monkeypatch.delattr(os, "fork")
-        assert _split_sum(LIE, LIE_CROSSOVER) is None
 
-    def test_no_fork_without_affinity(self, monkeypatch, no_fork):
-        monkeypatch.delattr(os, "sched_getaffinity")
-        assert _split_sum(LIE, LIE_CROSSOVER) is None
+class TestThreshold:
+    """The sum runs in integers from n / k_min = INTEGER_FROM on (lie from 41
+    loops, chord from 81), and the tables on both sides are the golden ones."""
 
-    def test_no_fork_on_one_cpu(self, monkeypatch, no_fork):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        assert _split_sum(LIE, LIE_CROSSOVER) is None
+    @staticmethod
+    def check(name, loops):
+        g = all_graphs_series(builtin_species(name), loops)
+        gold = {int(n): F(c) for n, c in GOLDEN[name]["all"].items() if int(n) <= loops}
+        assert {n: g[n - 1] for n in gold} == gold
 
-    def test_no_fork_beside_another_thread(self, no_fork):
-        done = threading.Event()
-        thread = threading.Thread(target=done.wait)
-        thread.start()
-        try:
-            assert _split_sum(LIE, LIE_CROSSOVER) is None
-        finally:
-            done.set()
-            thread.join(timeout=10)
-        assert not thread.is_alive()
+    @pytest.mark.parametrize("name, loops", [("lie", INTEGER_FROM // 2),
+                                             ("chord", INTEGER_FROM)])
+    def test_below_runs_the_fraction_sum(self, monkeypatch, name, loops):
+        monkeypatch.setattr(orbchi.euler, "_integer_column_sum", refuse)
+        self.check(name, loops)
 
-    def test_failed_fork_falls_back_to_serial(self, monkeypatch):
-        def refuse():
-            raise OSError("fork refused")
-
-        monkeypatch.setattr(os, "fork", refuse)
-        before = os.pipe()
-        for fd in before:
-            os.close(fd)
-        assert _split_sum(LIE, LIE_CROSSOVER) is None
-        after = os.pipe()
-        for fd in after:
-            os.close(fd)
-        assert after == before  # still the lowest free descriptors: the pipe is closed
-
-    def test_failing_child_is_one_error_line(self, monkeypatch, capsys):
-        def power_fails(*args):
-            raise ValueError("no power")
-
-        monkeypatch.setattr(orbchi.euler, "_power_column", power_fails)
-        assert main(["compute", "--species", "lie", "--max-loops", "41"]) == 1
-        out, err = capsys.readouterr()
-        assert (out, err) == ("", "error: the forked half of the column sum failed: no power\n")
-        assert_no_child()
-
-    def test_killed_child_is_an_error(self, monkeypatch):
-        monkeypatch.setattr(orbchi.euler, "_power_column",
-                            lambda *args: os.kill(os.getpid(), 9))
-        with pytest.raises(RuntimeError, match="failed: wait status 9$"):
-            all_graphs_series(LIE, LIE_CROSSOVER + 1)
-        assert_no_child()
-
-    def test_child_killed_after_sending_is_an_error(self, monkeypatch):
-        # the child sends its whole sums, then dies: the wait status, not the sums
-        monkeypatch.setattr(os, "_exit", lambda status: os.kill(os.getpid(), 9))
-        with pytest.raises(RuntimeError, match="failed: wait status 9$"):
-            all_graphs_series(LIE, LIE_CROSSOVER + 1)
-        assert_no_child()
-
-    def test_failing_parent_kills_the_child(self, monkeypatch):
-        column_sum = orbchi.euler._column_sum
-
-        def head_fails(species, order, start=0, stop=None):
-            if stop is not None:
-                raise ValueError("no head")
-            return column_sum(species, order, start, stop)
-
-        monkeypatch.setattr(orbchi.euler, "_column_sum", head_fails)
-        # a child that would sleep for a minute: only a kill ends it sooner
-        monkeypatch.setattr(orbchi.euler, "_power_column", lambda *args: time.sleep(60))
-        start = time.monotonic()
-        with pytest.raises(ValueError, match="no head"):
-            all_graphs_series(LIE, LIE_CROSSOVER + 1)
-        assert time.monotonic() - start < 30
-        assert_no_child()
+    @pytest.mark.parametrize("name, loops", [("lie", INTEGER_FROM // 2 + 1),
+                                             ("chord", INTEGER_FROM + 1)])
+    def test_from_threshold_runs_the_integer_sum(self, monkeypatch, name, loops):
+        monkeypatch.setattr(orbchi.euler, "_column_sum", refuse)
+        self.check(name, loops)

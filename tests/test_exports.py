@@ -124,9 +124,10 @@ def test_cli_import_leaves_out_dataclasses():
 
 
 def test_cli_import_leaves_out_what_the_split_avoids():
-    # the forked column sum kills its child by number and asks for threads
-    # only where threading is loaded already, so importing the CLI under -S
-    # loads neither module
+    # nothing in the package starts a thread or a process or handles a
+    # signal (the deep column sum no longer splits between two processes),
+    # so importing the CLI under -S loads neither module, and every fresh
+    # CLI process skips their import time
     src = str(Path(orbchi.__file__).resolve().parent.parent)
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import orbchi.cli; "
             "print(sorted({'signal', 'threading'} & set(sys.modules)))")
