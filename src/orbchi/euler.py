@@ -26,19 +26,21 @@ The pipeline has two steps:
 step 1 for any bivariate polynomial, holding every s-row of exp(E); the
 tests keep it as the reference route.
 
-Step 1's recurrence is ``_column_sum``, and step 2's is ``series._log``.
+Step 1's sum is ``_column_sum``, and step 2's recurrence is ``series._log``.
 Both run on lists, over whatever exact ring the species' q_n lie in; only
 the public functions wrap the result in a ``TSeries``.  The tests run them
 on a species whose q_n are polynomial variables, so that one check covers
 every species at once.
 
-A deep sum (``_integer_column_sum``) runs the same recurrence in integers:
-A scaled by the lcm D of its denominators to integer coefficients
-alpha_k, and each column held as integer numerators N_v over one
-denominator d_v, with N_v[i] = sum_k alpha_k N_(v-1)[i-k] and
-d_v = v D d_(v-1), reduced by one gcd per column (``_power_columns``
-makes them).  Only the terms it adds to g are ``Fraction``s, so its sums
-are those of ``_column_sum``, bit for bit.
+``_column_sum`` takes the columns from a generator, as pairs (col, d)
+with P_v[i] = col[i] / d at each even s-degree i; ``_times`` is the
+product by A that both generators share.  ``_columns`` holds A^v in the
+ring of the a_k, with d = v!.  A deep sum takes ``_integer_columns``, the
+same recurrence in integers: A scaled by the lcm D of its denominators to
+integer coefficients alpha_k, and each column held as integer numerators
+N_v over one denominator d_v, with N_v[i] = sum_k alpha_k N_(v-1)[i-k] and
+d_v = v D d_(v-1), reduced by one gcd per column.  Only the terms added to
+g are ``Fraction``s, so the two layouts give the same sums, bit for bit.
 """
 
 from __future__ import annotations
@@ -59,10 +61,10 @@ __all__ = ["EulerTable", "all_graphs_series", "connected_series",
 # would take about 8-12 hours.
 MAX_LOOPS = 1000
 
-# The sum runs in integers (``_integer_column_sum``) once n / k_min reaches
-# this: lie from 41 loops, chord from 81.  Shallower sums keep
-# ``_column_sum`` until the benchmark's peak-memory metric measures the
-# program alone (ROADMAP.md, integer arithmetic).
+# The sum takes ``_integer_columns`` once n / k_min reaches this: lie from
+# 41 loops, chord from 81.  Shallower sums take ``_columns`` until the
+# benchmark's peak-memory metric measures the program alone (ROADMAP.md,
+# integer arithmetic).
 INTEGER_FROM = 80
 
 
@@ -86,8 +88,8 @@ def all_graphs_series(species: Species, loops: int) -> TSeries:
 
     The result has order loops - 1 and constant term 1 (the empty graph);
     loops must lie in 2..MAX_LOOPS, and the species must cover valences up
-    to 2 * loops.  Summed one vertex count at a time (step 1 above), in
-    integers from ``INTEGER_FROM`` on.
+    to 2 * loops.  Summed one vertex count at a time (step 1 above), over
+    integer columns from ``INTEGER_FROM`` on.
     """
     if loops < 2:
         raise UsageError("max-loops must be >= 2")
@@ -95,78 +97,65 @@ def all_graphs_series(species: Species, loops: int) -> TSeries:
         raise UsageError(f"max-loops must be <= {MAX_LOOPS}")
     species.check_coverage(2 * loops)
     n = 2 * (loops - 1)
-    k_min = next((k for k in range(1, n + 1) if species.q(k + 2)), 0)
-    deep = k_min and n // k_min >= INTEGER_FROM
-    return TSeries((_integer_column_sum if deep else _column_sum)(species, loops - 1))
-
-
-def _column_sum(species: Species, order: int) -> list:
-    """g_0..g_order of the all-graphs series, by step 1 above."""
-    n = 2 * order
-    # (k, a_k) in rising k, the nonzero terms of E's s-rows
+    # (k, a_k) in rising k, the nonzero terms of E's s-rows: k_min = a[0][0]
     a = [(k, -q) for k in range(1, n + 1) if (q := species.q(k + 2))]
-    ch = _double_factorials(order)
+    deep = a and n // a[0][0] >= INTEGER_FROM
+    return TSeries(_column_sum((_integer_columns if deep else _columns)(a, n), loops - 1))
+
+
+def _column_sum(columns, order: int) -> list:
+    """g_0..g_order of the all-graphs series, by step 1 above, from the
+    columns v = 0, 1, ... as pairs (col, d) with P_v[i] = col[i] / d for
+    every even s-degree i."""
+    ch = [1]  # ch[m] = Ch_(2m) = (2m-1)!!, up to y-degree 3n, the top one reached
+    for m in range(1, 3 * order + 1):
+        ch.append((2 * m - 1) * ch[-1])
     g = [Fraction(0)] * (order + 1)
-    v, col = 0, {0: Fraction(1)}  # s-degree -> coefficient
-    while col:  # P_v is empty once v > n, or at once when E = 0
+    for v, (col, d) in enumerate(columns):
         for i, c in col.items():
-            if not i % 2:
-                g[i // 2] += ch[i // 2 + v] * c
-        v += 1
-        acc: dict[int, Fraction] = {}
-        for j, c in col.items():
-            for k, ak in a:
-                if j + k > n:
-                    break
-                acc[j + k] = acc.get(j + k, 0) + ak * c
-        col = {i: c / v for i, c in acc.items() if c}
+            g[i // 2] += ch[i // 2 + v] * c / d
     return g
 
 
-def _integer_column_sum(species: Species, order: int) -> list:
-    """``_column_sum`` for rational q_n, with column v held as integer
-    numerators over one denominator d (the module docstring's N_v, d_v)."""
-    n = 2 * order
-    a = [(k, -q) for k in range(1, n + 1) if (q := species.q(k + 2))]
-    ch = _double_factorials(order)
-    g = [Fraction(0)] * (order + 1)
-    for v, (col, d) in enumerate(_power_columns(a, n)):
-        for i, c in col.items():
-            if not i % 2:
-                g[i // 2] += Fraction(ch[i // 2 + v] * c, d)
-    return g
-
-
-def _power_columns(a: list, n: int):
+def _columns(a: list, n: int):
     """P_v = A^v / v! up to s-degree n, for v = 0, 1, ... while nonzero, as
-    (N_v, d_v): integer numerators by s-degree over one denominator, with
-    no factor common to all of them.  ``a`` lists A's nonzero terms
-    (k, a_k) in rising k."""
+    ``_column_sum`` takes them: A^v's even-s-degree terms, over the ring of
+    the a_k, and d = v!.  ``a`` lists A's nonzero terms (k, a_k) in rising
+    k."""
+    # s-degree -> coefficient; a Fraction 1, as col[0] / d with an int 1 is a float
+    v, col, d = 0, {0: Fraction(1)}, 1
+    while col:  # P_v is empty once v > n, or at once when A = 0
+        yield {i: c for i, c in col.items() if not i % 2}, d
+        v += 1
+        d *= v
+        col = {i: c for i, c in _times(col, a, n).items() if c}
+
+
+def _integer_columns(a: list, n: int):
+    """``_columns`` for rational a_k, in integers: N_v's even terms, and
+    d = d_v as a ``Fraction``, so that N_v[i] / d is exact."""
     scale = lcm(*(c.denominator for _, c in a))  # D
     alpha = [(k, c.numerator * (scale // c.denominator)) for k, c in a]
     v, col, d = 0, {0: 1}, 1
     while col:
-        yield col, d
+        yield {i: c for i, c in col.items() if not i % 2}, Fraction(d)
         v += 1
-        acc: dict[int, int] = {}
-        for j, c in col.items():
-            for k, ak in alpha:
-                if j + k > n:
-                    break
-                acc[j + k] = acc.get(j + k, 0) + ak * c
+        acc = _times(col, alpha, n)
         d *= v * scale
         common = gcd(d, *acc.values())
         col = {i: c // common for i, c in acc.items() if c}
         d //= common
 
 
-def _double_factorials(order: int) -> list[int]:
-    """ch[m] = Ch_(2m) = (2m-1)!! for m <= 3 * order: up to y-degree 3n,
-    the top one a column sum to ``order`` reaches."""
-    ch = [1]
-    for m in range(1, 3 * order + 1):
-        ch.append((2 * m - 1) * ch[-1])
-    return ch
+def _times(col: dict, a: list, n: int) -> dict:
+    """The product of a column with A = sum a_k s^k, up to s-degree n."""
+    acc: dict = {}
+    for j, c in col.items():
+        for k, ak in a:
+            if j + k > n:
+                break
+            acc[j + k] = acc.get(j + k, 0) + ak * c
+    return acc
 
 
 def connected_series(g: TSeries) -> TSeries:

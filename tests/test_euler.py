@@ -3,7 +3,7 @@
 import json
 import random
 from fractions import Fraction as F
-from math import factorial, gcd
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -16,8 +16,8 @@ from orbchi.euler import (
     MAX_LOOPS,
     EulerTable,
     _column_sum,
-    _integer_column_sum,
-    _power_columns,
+    _columns,
+    _integer_columns,
     all_graphs_series,
     connected_series,
     euler_characteristic,
@@ -116,7 +116,8 @@ class TestLagrangeRoute:
 
     def test_generic_species(self):
         # 15 loops: every order <= 14 of every species at once
-        assert _column_sum(GENERIC, 14) == lagrange_all_graphs(GENERIC.q, 14)
+        g = _column_sum(_columns(exponent_terms(GENERIC, 28), 28), 14)
+        assert g == lagrange_all_graphs(GENERIC.q, 14)
 
     @pytest.mark.parametrize("seed", range(1, 11))
     def test_random_rational_species(self, seed):
@@ -195,21 +196,30 @@ def file_species(tmp_path, name, valences, top):
     return species_from_file(path)
 
 
-def refuse(species, order):
-    pytest.fail("the other column sum ran")
+def exponent_terms(species, n):
+    """A's nonzero terms (k, a_k), a_k = -q_(k+2), for k = 1..n."""
+    return [(k, -q) for k in range(1, n + 1) if (q := species.q(k + 2))]
+
+
+def values(columns):
+    """Each column's even-s-degree terms of P_v, as exact values."""
+    return [{i: c / d for i, c in col.items()} for col, d in columns]
+
+
+def refuse(a, n):
+    pytest.fail("the other column layout ran")
 
 
 class TestIntegerColumnSum:
-    """The deep sum, in integers, equals ``_column_sum`` bit for bit.  Each
-    g_m is the same whatever order the sum is cut at, so the sums to ORDER
-    check every g_m up to it; the low orders check the cut itself."""
+    """The sum's two column layouts.  ``_integer_columns`` yields the
+    columns of ``_columns``, so both give the same sums, bit for bit; the
+    columns are P_v = A^v / v!; and ``all_graphs_series`` takes the integer
+    layout from the crossover n / k_min = INTEGER_FROM on."""
 
-    ORDER = 30
+    CASES = ["commutative", "associative", "lie", "chord", "k_min 1", "k_min 2", "k_min 3", "zero"]
 
-    @pytest.mark.parametrize("name", ["commutative", "associative", "lie", "chord",
-                                      "k_min 1", "k_min 2", "k_min 3", "zero"])
-    def test_equals_column_sum(self, tmp_path, name):
-        n = 2 * self.ORDER
+    @staticmethod
+    def terms(tmp_path, name, n):
         if name == "k_min 1":  # with gaps
             sp = file_species(tmp_path, "k1", [m for m in range(3, n + 3) if m % 4], n + 2)
         elif name == "k_min 2":  # odd and even s-degrees
@@ -220,76 +230,57 @@ class TestIntegerColumnSum:
             sp = Species("zero", lambda n: F(0))
         else:
             sp = builtin_species(name)
-        for order in (1, 2, self.ORDER):
-            g = _integer_column_sum(sp, order)
-            assert g == _column_sum(sp, order)
+        return exponent_terms(sp, n)
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_equals_column_sum(self, tmp_path, name):
+        # the low n check the cut at s-degree n itself
+        for n in (2, 4, 60):
+            a = self.terms(tmp_path, name, n)
+            assert values(_integer_columns(a, n)) == values(_columns(a, n))
+            g = _column_sum(_integer_columns(a, n), n // 2)
+            assert g == _column_sum(_columns(a, n), n // 2)
             assert all(type(c) is F for c in g)
 
-
-class TestPowerColumn:
-    """The integer sum's column P_v = A^v / v!, as numerators over one
-    reduced denominator, equals the power built with the public ``TSeries``
-    product."""
-
-    ORDER = 20
-
-    @pytest.mark.parametrize("name", ["commutative", "associative", "lie", "chord",
-                                      "k_min 2", "k_min 3"])
+    @pytest.mark.parametrize("name", CASES)
     def test_equals_series_power(self, tmp_path, name):
-        n = 2 * self.ORDER
-        if name == "k_min 2":  # odd and even s-degrees
-            sp = file_species(tmp_path, "k2", range(4, n + 3), n + 2)
-        elif name == "k_min 3":  # with gaps
-            sp = file_species(tmp_path, "k3", [m for m in range(5, n + 3) if m % 3 != 1], n + 2)
-        else:
-            sp = builtin_species(name)
-        a = [(k, -q) for k in range(1, n + 1) if (q := sp.q(k + 2))]
-        k0 = a[0][0]
-        assert k0 == {"k_min 2": 2, "k_min 3": 3, "chord": 2}.get(name, 1)
+        # A^v / v! built with the public TSeries product
+        n = 40
+        a = self.terms(tmp_path, name, n)
         base = TSeries([0] + [dict(a).get(k, 0) for k in range(1, n + 1)])
-        power = TSeries([1] + [0] * n)
-        columns = list(_power_columns(a, n))
-        assert len(columns) == n // k0 + 1  # P_v is empty once v * k0 > n
-        for v, (col, d) in enumerate(columns):
-            expected = {i: power[i] / factorial(v) for i in range(n + 1) if power[i]}
-            assert {i: F(c, d) for i, c in col.items()} == expected
-            assert min(expected) == v * k0
-            assert all(type(c) is int for c in col.values()) and gcd(d, *col.values()) == 1
+        power, expected = TSeries([1] + [0] * n), []
+        for v in range(n // a[0][0] + 1 if a else 1):  # P_v is empty once v * k_min > n
+            expected.append({i: power[i] / factorial(v) for i in range(0, n + 1, 2) if power[i]})
             power *= base
-
-
-class TestSplitSum:
-    """The deep sum, which once split between two processes, runs in one:
-    from the crossover n / k_min = INTEGER_FROM on it runs in integers, and
-    the table on each side of it is the serial ``_column_sum`` one."""
+        assert values(_columns(a, n)) == values(_integer_columns(a, n)) == expected
 
     @pytest.mark.parametrize("name", ["commutative", "associative", "lie", "chord",
                                       "seeded", "even"])
-    def test_split_equals_serial(self, tmp_path, monkeypatch, name):
+    def test_takes_integer_columns_from_the_crossover(self, tmp_path, monkeypatch, name):
         if name == "seeded":
             sp = file_species(tmp_path, name, range(3, 87), 86)
         elif name == "even":  # k_min = 2, as for chord
             sp = file_species(tmp_path, name, range(4, 167, 2), 166)
         else:
             sp = builtin_species(name)
+        taken = []
+
+        def recorder(layout):
+            def columns(a, n):  # no column at all: every g_m is 0
+                taken.append(layout)
+                return iter(())
+            return columns
+
+        for layout in ("_columns", "_integer_columns"):
+            monkeypatch.setattr(orbchi.euler, layout, recorder(layout))
         # the crossover: the lowest order with n / k_min >= INTEGER_FROM, n = 2 * order
         crossover = INTEGER_FROM // 2 * (2 if name in ("chord", "even") else 1)
-        calls, integer_sum = [], orbchi.euler._integer_column_sum
-
-        def counted(species, order):
-            calls.append(order)
-            return integer_sum(species, order)
-
-        monkeypatch.setattr(orbchi.euler, "_integer_column_sum", counted)
-        # g_m does not depend on the order the sum is truncated at
-        serial = _column_sum(sp, crossover)
         for order in (crossover - 1, crossover):
-            g = all_graphs_series(sp, order + 1)
-            assert g == TSeries(serial[:order + 1])
-        assert calls == [crossover]
+            all_graphs_series(sp, order + 1)
+        assert taken == ["_columns", "_integer_columns"]
 
-    def test_zero_species_does_not_split(self, monkeypatch):
-        monkeypatch.setattr(orbchi.euler, "_integer_column_sum", refuse)
+    def test_zero_species_takes_ring_columns(self, monkeypatch):
+        monkeypatch.setattr(orbchi.euler, "_integer_columns", refuse)
         zero = Species("zero", lambda n: F(0))
         assert all_graphs_series(zero, 101) == TSeries([1] + [0] * 100)
 
@@ -307,11 +298,11 @@ class TestThreshold:
     @pytest.mark.parametrize("name, loops", [("lie", INTEGER_FROM // 2),
                                              ("chord", INTEGER_FROM)])
     def test_below_runs_the_fraction_sum(self, monkeypatch, name, loops):
-        monkeypatch.setattr(orbchi.euler, "_integer_column_sum", refuse)
+        monkeypatch.setattr(orbchi.euler, "_integer_columns", refuse)
         self.check(name, loops)
 
     @pytest.mark.parametrize("name, loops", [("lie", INTEGER_FROM // 2 + 1),
                                              ("chord", INTEGER_FROM + 1)])
     def test_from_threshold_runs_the_integer_sum(self, monkeypatch, name, loops):
-        monkeypatch.setattr(orbchi.euler, "_column_sum", refuse)
+        monkeypatch.setattr(orbchi.euler, "_columns", refuse)
         self.check(name, loops)

@@ -113,24 +113,13 @@ def test_frozen_api():
     assert "main" in importlib.import_module("orbchi.cli").__all__
 
 
-def test_cli_import_leaves_out_dataclasses():
-    # -S keeps site .pth hooks from deciding what the child has loaded
+def test_cli_import_leaves_out_unused_stdlib_modules():
+    # nothing in the package needs dataclasses, starts a thread or handles
+    # a signal, so a fresh CLI process skips their import time; -S keeps
+    # site .pth hooks from deciding what the child has loaded
     src = str(Path(orbchi.__file__).resolve().parent.parent)
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import orbchi.cli; "
-            "print('dataclasses' in sys.modules)")
-    out = subprocess.run([sys.executable, "-S", "-c", code, src],
-                         capture_output=True, text=True, check=True).stdout
-    assert out == "False\n"
-
-
-def test_cli_import_leaves_out_what_the_split_avoids():
-    # nothing in the package starts a thread or a process or handles a
-    # signal (the deep column sum no longer splits between two processes),
-    # so importing the CLI under -S loads neither module, and every fresh
-    # CLI process skips their import time
-    src = str(Path(orbchi.__file__).resolve().parent.parent)
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import orbchi.cli; "
-            "print(sorted({'signal', 'threading'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'signal', 'threading'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-S", "-c", code, src],
                          capture_output=True, text=True, check=True).stdout
     assert out == "[]\n"

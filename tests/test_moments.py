@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 import sympy
 
-from orbchi.euler import _column_sum, _integer_column_sum, all_graphs_series
+from orbchi.euler import _column_sum, _columns, _integer_columns, all_graphs_series
 from orbchi.moments import gaussian_moment, substitute_moments
 from orbchi.oracle import _connected
 from orbchi.series import BivariatePoly, TSeries
@@ -192,10 +192,11 @@ class TestVertexCountSum:
 
     def test_holds_two_columns_not_the_exp_rows(self):
         # only two vertex-count columns are live at once, so the traced peak
-        # of either column sum stays far below the rows of exp(E) that the
-        # bivariate route builds (1.09 x those rows when the pipeline built
-        # them); at 41 loops, lie runs the integer one
+        # of the sum over either column layout stays far below the rows of
+        # exp(E) that the bivariate route builds (1.09 x those rows when the
+        # pipeline built them); at 41 loops, lie runs the integer one
         sp = builtin_species("lie")
+        a = [(k, -sp.q(k + 2)) for k in range(1, 81)]
         peaks = []
         tracemalloc.start()
         try:
@@ -203,9 +204,9 @@ class TestVertexCountSum:
             rows = tracemalloc.get_traced_memory()[0]
             del h
             base = tracemalloc.get_traced_memory()[0]
-            for column_sum in (_column_sum, _integer_column_sum):
+            for columns in (_columns, _integer_columns):
                 tracemalloc.reset_peak()
-                column_sum(sp, 40)
+                _column_sum(columns(a, 80), 40)
                 peaks.append(tracemalloc.get_traced_memory()[1] - base)
         finally:
             tracemalloc.stop()

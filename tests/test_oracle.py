@@ -12,7 +12,7 @@ import sympy
 from sympy.polys.domains import QQ
 from sympy.polys.rings import ring
 
-from orbchi.euler import _column_sum, all_graphs_series, connected_series
+from orbchi.euler import _column_sum, _columns, all_graphs_series, connected_series
 from orbchi.oracle import (
     _block_shapes,
     _connected,
@@ -34,7 +34,8 @@ GENERIC = Species("generic", lambda n: Q[n - 3])
 @lru_cache(maxsize=None)
 def generic_series(order):
     """g_0..g_order and c_0..c_order of GENERIC, by the shipped recurrences."""
-    g = _column_sum(GENERIC, order)
+    n = 2 * order
+    g = _column_sum(_columns([(k, -GENERIC.q(k + 2)) for k in range(1, n + 1)], n), order)
     return g, _log(g)
 
 
