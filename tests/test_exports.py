@@ -113,13 +113,24 @@ def test_frozen_api():
     assert "main" in importlib.import_module("orbchi.cli").__all__
 
 
-def test_cli_import_leaves_out_unused_stdlib_modules():
-    # nothing in the package needs dataclasses, starts a thread or handles
-    # a signal, so a fresh CLI process skips their import time; -S keeps
-    # site .pth hooks from deciding what the child has loaded
+@pytest.fixture(scope="module")
+def cli_stdlib_imports():
+    # one fresh -S process for both checks below: nothing in the package needs
+    # dataclasses, starts a thread or handles a signal, so a CLI process skips
+    # their import time; -S keeps site .pth hooks from deciding what the child
+    # has loaded
     src = str(Path(orbchi.__file__).resolve().parent.parent)
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import orbchi.cli; "
-            "print(sorted({'dataclasses', 'signal', 'threading'} & set(sys.modules)))")
+            "print(' '.join(sorted({'dataclasses', 'signal', 'threading'} & set(sys.modules))))")
     out = subprocess.run([sys.executable, "-S", "-c", code, src],
                          capture_output=True, text=True, check=True).stdout
-    assert out == "[]\n"
+    return set(out.split())
+
+
+def test_cli_import_leaves_out_dataclasses(cli_stdlib_imports):
+    assert "dataclasses" not in cli_stdlib_imports
+
+
+def test_cli_import_leaves_out_what_the_split_avoids(cli_stdlib_imports):
+    # the deep column sum runs in one process, so signal and threading stay out
+    assert cli_stdlib_imports.isdisjoint({"signal", "threading"})
