@@ -10,32 +10,15 @@ brute-force enumeration oracle, a Bernoulli-number closed form, and a
 log-gamma asymptotic check give three independent verification routes.
 """
 
-from .series import BivariatePoly, TSeries
-from .moments import gaussian_moment, substitute_moments
-from .species import Species, UsageError, builtin_species, species_from_file
-from .euler import EulerTable, all_graphs_series, connected_series, euler_characteristic
-from .oracle import oracle_all_graphs_coefficient, oracle_connected_coefficient
-from .analytic import bernoulli_numbers, check_commutative_asymptotics, verify_bernoulli
+from .series import *
+from .moments import *
+from .species import *
+from .euler import *
+from .oracle import *
+from .analytic import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BivariatePoly",
-    "TSeries",
-    "gaussian_moment",
-    "substitute_moments",
-    "Species",
-    "UsageError",
-    "builtin_species",
-    "species_from_file",
-    "EulerTable",
-    "all_graphs_series",
-    "connected_series",
-    "euler_characteristic",
-    "bernoulli_numbers",
-    "verify_bernoulli",
-    "oracle_all_graphs_coefficient",
-    "oracle_connected_coefficient",
-    "check_commutative_asymptotics",
-    "__version__",
-]
+# each import of a submodule also binds its name here
+__all__ = [*series.__all__, *moments.__all__, *species.__all__, *euler.__all__,
+           *oracle.__all__, *analytic.__all__, "__version__"]

@@ -35,10 +35,11 @@ every species at once.
 ``_column_sum`` takes the columns from a generator, as pairs (col, d)
 with P_v[i] = col[i] / d at each even s-degree i; ``_times`` is the
 product by A that both generators share.  ``_columns`` holds A^v in the
-ring of the a_k, with d = v!.  A deep sum takes ``_integer_columns``, the
-same recurrence in integers: A scaled by the lcm D of its denominators to
-integer coefficients alpha_k, and each column held as integer numerators
-N_v over one denominator d_v, with N_v[i] = sum_k alpha_k N_(v-1)[i-k] and
+ring of the a_k, with d = v!.  A table of ``INTEGER_FROM`` loops or more,
+for any species, takes ``_integer_columns``, the same recurrence in
+integers: A scaled by the lcm D of its denominators to integer
+coefficients alpha_k, and each column held as integer numerators N_v
+over one denominator d_v, with N_v[i] = sum_k alpha_k N_(v-1)[i-k] and
 d_v = v D d_(v-1), reduced by one gcd per column.  Only the terms added to
 g are ``Fraction``s, so the two layouts give the same sums, bit for bit.
 """
@@ -61,11 +62,11 @@ __all__ = ["EulerTable", "all_graphs_series", "connected_series",
 # would take about 8-12 hours.
 MAX_LOOPS = 1000
 
-# The sum takes ``_integer_columns`` once n / k_min reaches this: lie from
-# 41 loops, chord from 81.  Shallower sums take ``_columns`` until the
-# benchmark's peak-memory metric measures the program alone (ROADMAP.md,
-# integer arithmetic).
-INTEGER_FROM = 80
+# The sum takes ``_integer_columns`` from this many loops on, for every
+# species.  Shallower sums take ``_columns`` until the benchmark's
+# peak-memory metric measures the program alone (ROADMAP.md, integer
+# arithmetic).
+INTEGER_FROM = 41
 
 
 class EulerTable(NamedTuple):
@@ -89,7 +90,7 @@ def all_graphs_series(species: Species, loops: int) -> TSeries:
     The result has order loops - 1 and constant term 1 (the empty graph);
     loops must lie in 2..MAX_LOOPS, and the species must cover valences up
     to 2 * loops.  Summed one vertex count at a time (step 1 above), over
-    integer columns from ``INTEGER_FROM`` on.
+    integer columns from ``INTEGER_FROM`` loops on.
     """
     if loops < 2:
         raise UsageError("max-loops must be >= 2")
@@ -97,10 +98,10 @@ def all_graphs_series(species: Species, loops: int) -> TSeries:
         raise UsageError(f"max-loops must be <= {MAX_LOOPS}")
     species.check_coverage(2 * loops)
     n = 2 * (loops - 1)
-    # (k, a_k) in rising k, the nonzero terms of E's s-rows: k_min = a[0][0]
+    # (k, a_k) in rising k, the nonzero terms of E's s-rows
     a = [(k, -q) for k in range(1, n + 1) if (q := species.q(k + 2))]
-    deep = a and n // a[0][0] >= INTEGER_FROM
-    return TSeries(_column_sum((_integer_columns if deep else _columns)(a, n), loops - 1))
+    columns = _integer_columns if loops >= INTEGER_FROM else _columns
+    return TSeries(_column_sum(columns(a, n), loops - 1))
 
 
 def _column_sum(columns, order: int) -> list:

@@ -7,8 +7,6 @@ from math import factorial
 from pathlib import Path
 
 import pytest
-from sympy.polys.domains import QQ
-from sympy.polys.rings import ring
 
 import orbchi.euler
 from orbchi.euler import (
@@ -25,9 +23,7 @@ from orbchi.euler import (
 from orbchi.series import TSeries
 from orbchi.species import Species, UsageError, builtin_species, species_from_file
 
-# q_n as a variable, so that each g_m is a polynomial in the q_n
-Q = ring([f"q{n}" for n in range(3, 33)], QQ)[1:]
-GENERIC = Species("generic", lambda n: Q[n - 3])
+from helpers import GENERIC, exponent_terms
 
 
 class TestEulerTable:
@@ -170,10 +166,6 @@ class TestEulerCharacteristic:
             euler_characteristic(builtin_species("lie"), 1)
 
     def test_coverage_error_propagates(self, tmp_path):
-        import json
-
-        from orbchi.species import species_from_file
-
         f = tmp_path / "short.json"
         f.write_text(json.dumps({"name": "short", "Q": {"3": 1, "4": 1, "5": 1, "6": 1}}))
         sp = species_from_file(f)
@@ -196,11 +188,6 @@ def file_species(tmp_path, name, valences, top):
     return species_from_file(path)
 
 
-def exponent_terms(species, n):
-    """A's nonzero terms (k, a_k), a_k = -q_(k+2), for k = 1..n."""
-    return [(k, -q) for k in range(1, n + 1) if (q := species.q(k + 2))]
-
-
 def values(columns):
     """Each column's even-s-degree terms of P_v, as exact values."""
     return [{i: c / d for i, c in col.items()} for col, d in columns]
@@ -214,7 +201,7 @@ class TestIntegerColumnSum:
     """The sum's two column layouts.  ``_integer_columns`` yields the
     columns of ``_columns``, so both give the same sums, bit for bit; the
     columns are P_v = A^v / v!; and ``all_graphs_series`` takes the integer
-    layout from the crossover n / k_min = INTEGER_FROM on."""
+    layout from INTEGER_FROM loops on, for every species."""
 
     CASES = ["commutative", "associative", "lie", "chord", "k_min 1", "k_min 2", "k_min 3", "zero"]
 
@@ -254,55 +241,25 @@ class TestIntegerColumnSum:
             power *= base
         assert values(_columns(a, n)) == values(_integer_columns(a, n)) == expected
 
-    @pytest.mark.parametrize("name", ["commutative", "associative", "lie", "chord",
-                                      "seeded", "even"])
+    @pytest.mark.parametrize("name", ["lie", "chord", "even", "zero"])
     def test_takes_integer_columns_from_the_crossover(self, tmp_path, monkeypatch, name):
-        if name == "seeded":
-            sp = file_species(tmp_path, name, range(3, 87), 86)
-        elif name == "even":  # k_min = 2, as for chord
-            sp = file_species(tmp_path, name, range(4, 167, 2), 166)
+        if name == "even":  # k_min = 2, as for chord
+            sp = file_species(tmp_path, name, range(4, 2 * INTEGER_FROM + 1, 2), 2 * INTEGER_FROM)
+        elif name == "zero":
+            sp = Species("zero", lambda n: F(0))
         else:
             sp = builtin_species(name)
-        taken = []
-
-        def recorder(layout):
-            def columns(a, n):  # no column at all: every g_m is 0
-                taken.append(layout)
-                return iter(())
-            return columns
-
-        for layout in ("_columns", "_integer_columns"):
-            monkeypatch.setattr(orbchi.euler, layout, recorder(layout))
-        # the crossover: the lowest order with n / k_min >= INTEGER_FROM, n = 2 * order
-        crossover = INTEGER_FROM // 2 * (2 if name in ("chord", "even") else 1)
-        for order in (crossover - 1, crossover):
-            all_graphs_series(sp, order + 1)
-        assert taken == ["_columns", "_integer_columns"]
-
-    def test_zero_species_takes_ring_columns(self, monkeypatch):
-        monkeypatch.setattr(orbchi.euler, "_integer_columns", refuse)
-        zero = Species("zero", lambda n: F(0))
-        assert all_graphs_series(zero, 101) == TSeries([1] + [0] * 100)
-
-
-class TestThreshold:
-    """The sum runs in integers from n / k_min = INTEGER_FROM on (lie from 41
-    loops, chord from 81), and the tables on both sides are the golden ones."""
-
-    @staticmethod
-    def check(name, loops):
-        g = all_graphs_series(builtin_species(name), loops)
-        gold = {int(n): F(c) for n, c in GOLDEN[name]["all"].items() if int(n) <= loops}
-        assert {n: g[n - 1] for n in gold} == gold
-
-    @pytest.mark.parametrize("name, loops", [("lie", INTEGER_FROM // 2),
-                                             ("chord", INTEGER_FROM)])
-    def test_below_runs_the_fraction_sum(self, monkeypatch, name, loops):
-        monkeypatch.setattr(orbchi.euler, "_integer_columns", refuse)
-        self.check(name, loops)
-
-    @pytest.mark.parametrize("name, loops", [("lie", INTEGER_FROM // 2 + 1),
-                                             ("chord", INTEGER_FROM + 1)])
-    def test_from_threshold_runs_the_integer_sum(self, monkeypatch, name, loops):
-        monkeypatch.setattr(orbchi.euler, "_columns", refuse)
-        self.check(name, loops)
+        tables = []
+        # one loop order below the crossover with the integer layout refused,
+        # and the crossover itself with the ring layout refused
+        for loops, other in ((INTEGER_FROM - 1, "_integer_columns"), (INTEGER_FROM, "_columns")):
+            with monkeypatch.context() as patch:
+                patch.setattr(orbchi.euler, other, refuse)
+                g = all_graphs_series(sp, loops)
+            tables.append([g[m] for m in range(loops)])
+            if name in GOLDEN:
+                gold = GOLDEN[name]["all"]
+                assert tables[-1][1:] == [F(gold[str(n)]) for n in range(2, loops + 1)]
+        assert tables[1][:-1] == tables[0]
+        if name == "zero":  # the empty graph alone
+            assert tables[1] == [1] + [0] * (INTEGER_FROM - 1)

@@ -14,6 +14,8 @@ from orbchi.oracle import _connected
 from orbchi.series import BivariatePoly, TSeries
 from orbchi.species import Species, builtin_species, species_from_file
 
+from helpers import exponent_terms
+
 
 def build_exponent(species, s_cutoff):
     """The vertex exponent E = -sum_{n>=3} q_n s^(n-2) y^n, truncated at s_cutoff."""
@@ -194,19 +196,20 @@ class TestVertexCountSum:
         # only two vertex-count columns are live at once, so the traced peak
         # of the sum over either column layout stays far below the rows of
         # exp(E) that the bivariate route builds (1.09 x those rows when the
-        # pipeline built them); at 41 loops, lie runs the integer one
+        # pipeline built them).  At s-cutoff 40 the peaks read about 0.15 x
+        # the rows, and a sum that keeps every column about 0.33 x and more
         sp = builtin_species("lie")
-        a = [(k, -sp.q(k + 2)) for k in range(1, 81)]
+        a = exponent_terms(sp, 40)
         peaks = []
         tracemalloc.start()
         try:
-            h = build_exponent(sp, 80).exp()
+            h = build_exponent(sp, 40).exp()
             rows = tracemalloc.get_traced_memory()[0]
             del h
             base = tracemalloc.get_traced_memory()[0]
             for columns in (_columns, _integer_columns):
                 tracemalloc.reset_peak()
-                _column_sum(columns(a, 80), 40)
+                _column_sum(columns(a, 40), 20)
                 peaks.append(tracemalloc.get_traced_memory()[1] - base)
         finally:
             tracemalloc.stop()

@@ -9,8 +9,6 @@ from math import factorial, prod
 
 import pytest
 import sympy
-from sympy.polys.domains import QQ
-from sympy.polys.rings import ring
 
 from orbchi.euler import _column_sum, _columns, all_graphs_series, connected_series
 from orbchi.oracle import (
@@ -22,20 +20,17 @@ from orbchi.oracle import (
 from orbchi.series import _log
 from orbchi.species import Species, UsageError, builtin_species, species_from_file
 
+from helpers import GENERIC, R, exponent_terms
+
 COMM = builtin_species("commutative")
 CAP = "the oracle counts graphs up to 11 loops"
-
-# q_n as a variable: the coefficients of this species are polynomials in the
-# q_n, and two equal polynomials agree at every species
-R, *Q = ring([f"q{n}" for n in range(3, 33)], QQ)
-GENERIC = Species("generic", lambda n: Q[n - 3])
 
 
 @lru_cache(maxsize=None)
 def generic_series(order):
     """g_0..g_order and c_0..c_order of GENERIC, by the shipped recurrences."""
     n = 2 * order
-    g = _column_sum(_columns([(k, -GENERIC.q(k + 2)) for k in range(1, n + 1)], n), order)
+    g = _column_sum(_columns(exponent_terms(GENERIC, n), n), order)
     return g, _log(g)
 
 
