@@ -263,3 +263,28 @@ class TestIntegerColumnSum:
         assert tables[1][:-1] == tables[0]
         if name == "zero":  # the empty graph alone
             assert tables[1] == [1] + [0] * (INTEGER_FROM - 1)
+
+
+class TestThreshold:
+    """``all_graphs_series`` takes the ring layout below ``INTEGER_FROM``
+    loops and the integer layout from it on, wherever the threshold sits,
+    and each layout's lie table at 40 and 41 loops and chord table at 80
+    and 81 agree with the golden all-graphs values (to 60 loops)."""
+
+    @staticmethod
+    def check(name, loops):
+        g = all_graphs_series(builtin_species(name), loops)
+        gold = {int(n): F(c) for n, c in GOLDEN[name]["all"].items() if int(n) <= loops}
+        assert {n: g[n - 1] for n in gold} == gold
+
+    @pytest.mark.parametrize("name, loops", [("lie", 40), ("chord", 80)])
+    def test_below_runs_the_fraction_sum(self, monkeypatch, name, loops):
+        monkeypatch.setattr(orbchi.euler, "INTEGER_FROM", loops + 1)
+        monkeypatch.setattr(orbchi.euler, "_integer_columns", refuse)
+        self.check(name, loops)
+
+    @pytest.mark.parametrize("name, loops", [("lie", 41), ("chord", 81)])
+    def test_from_threshold_runs_the_integer_sum(self, monkeypatch, name, loops):
+        monkeypatch.setattr(orbchi.euler, "INTEGER_FROM", loops)
+        monkeypatch.setattr(orbchi.euler, "_columns", refuse)
+        self.check(name, loops)
