@@ -1,8 +1,11 @@
 """Unit tests for the command-line interface."""
 
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -281,6 +284,23 @@ def test_output_leaves_str_digit_cap_alone(capsys, monkeypatch, tmp_path, comman
     code, out, err = run(capsys, *command, "--species", f"file:{f}", "--max-loops", "3")
     assert (code, err) == (0, "")
     assert len(out) > 15000
+
+
+@pytest.mark.parametrize("loops", [40, 41], ids=["fraction-columns", "integer-columns"])
+def test_no_warning_in_a_fresh_process(tmp_path, loops):
+    # one table on each side of euler.INTEGER_FROM, with every warning an
+    # error: a deprecation in library code fails here on every interpreter;
+    # a fresh process, so that warnings raised while importing count too
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(orbchi.cli.__file__).resolve().parent.parent),
+                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "orbchi.cli", "compute",
+                           "--species", "chord", "--max-loops", str(loops), "--all",
+                           "--format", "json"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert list(json.loads(proc.stdout)["entries"]) == [str(n) for n in range(2, loops + 1)]
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False).filter(bool))

@@ -338,7 +338,7 @@ def _seeded_species(seed):
     return Species(f"seeded-{seed}", lambda n: table[n], max_n=14)
 
 
-# the file the CI smoke job hands to `verify oracle`
+# a species file with negative, fractional and zero counts, read by the loader
 MIXED = {"3": "-7/3", "4": 2, "5": 0, "6": "5/11", "7": -1, "8": "13/4",
          "9": "-2/9", "10": 6, "11": "1/40", "12": "-17/8"}
 
