@@ -1,9 +1,16 @@
 """Test helpers shared by more than one test module."""
 
+import json
+from pathlib import Path
+
 from sympy.polys.domains import QQ
 from sympy.polys.rings import ring
 
 from orbchi.species import Species
+
+# every built-in species' all-graphs and connected tables to 60 loops,
+# {"loops": 60, "species": {name: {"all": {n: "p/q"}, "connected": ...}}}
+GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_60.json").read_text())
 
 # q_n as a variable: each g_m of this species is a polynomial in the q_n,
 # and two equal polynomials agree at every species

@@ -4,7 +4,6 @@ import json
 import random
 from fractions import Fraction as F
 from math import factorial
-from pathlib import Path
 
 import pytest
 
@@ -23,7 +22,7 @@ from orbchi.euler import (
 from orbchi.series import TSeries
 from orbchi.species import Species, UsageError, builtin_species, species_from_file
 
-from helpers import GENERIC, exponent_terms
+from helpers import GENERIC, GOLDEN, exponent_terms
 
 
 class TestEulerTable:
@@ -174,9 +173,6 @@ class TestEulerCharacteristic:
             euler_characteristic(sp, 4)
 
 
-GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_60.json").read_text())["species"]
-
-
 def file_species(tmp_path, name, valences, top):
     """A species file with random nonzero Q_n at ``valences`` and zero at
     the other n up to ``top``, loaded as a user's would be."""
@@ -257,8 +253,8 @@ class TestIntegerColumnSum:
                 patch.setattr(orbchi.euler, other, refuse)
                 g = all_graphs_series(sp, loops)
             tables.append([g[m] for m in range(loops)])
-            if name in GOLDEN:
-                gold = GOLDEN[name]["all"]
+            if name in GOLDEN["species"]:
+                gold = GOLDEN["species"][name]["all"]
                 assert tables[-1][1:] == [F(gold[str(n)]) for n in range(2, loops + 1)]
         assert tables[1][:-1] == tables[0]
         if name == "zero":  # the empty graph alone
@@ -274,7 +270,7 @@ class TestThreshold:
     @staticmethod
     def check(name, loops):
         g = all_graphs_series(builtin_species(name), loops)
-        gold = {int(n): F(c) for n, c in GOLDEN[name]["all"].items() if int(n) <= loops}
+        gold = {int(n): F(c) for n, c in GOLDEN["species"][name]["all"].items() if int(n) <= loops}
         assert {n: g[n - 1] for n in gold} == gold
 
     @pytest.mark.parametrize("name, loops", [("lie", 40), ("chord", 80)])

@@ -70,6 +70,14 @@ def test_public_names_are_used():
     assert unused == []
 
 
+def test_version_matches_pyproject():
+    # orbchi.__version__ and the version pyproject.toml declares are two
+    # hand-written copies; read with a regex, since tomllib is not on 3.10
+    declared = re.search(r'^version = "([^"]*)"$',
+                         (REPO / "pyproject.toml").read_text(encoding="utf-8"), re.MULTILINE)
+    assert declared and declared[1] == orbchi.__version__
+
+
 def test_import_table_lists_every_module():
     assert set(IMPORTS) == {path.stem for path in SRC.glob("*.py")}
 

@@ -6,22 +6,28 @@ t^(n-1)), as exact ``"p/q"`` strings.  They were written by the power-sum
 engine (exp as sum E^k/k!, log as sum (-1)^(k+1) (g-1)^k/k) before the
 derivative recurrences replaced it, and agree with the Lagrange-inversion
 reference in ``bench/reference.py``.
+
+Deeper tables are pinned by the SHA-256 of their plain ``compute`` output:
+the ``lie`` table at 80 loops and the ``chord`` table at 100, each connected
+and all-graphs.  The digests were written from output that equals the
+Lagrange-inversion route of ``bench/reference.py`` at every entry, and that
+is the same on Python 3.10 to 3.13.
 """
 
+import hashlib
 import itertools
-import json
 import math
 from collections import Counter
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
+from orbchi.cli import main
 from orbchi.euler import all_graphs_series, connected_series
 from orbchi.oracle import _block_shapes
 from orbchi.species import builtin_species
 
-GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_60.json").read_text())
+from helpers import GOLDEN
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN["species"]))
@@ -35,6 +41,21 @@ def test_tables_bit_identical(name):
         assert sorted(map(int, expected[kind])) == list(range(2, loops + 1))
         for n, value in expected[kind].items():
             assert series[int(n) - 1] == Fraction(value), (kind, n)
+
+
+@pytest.mark.parametrize("name, loops, flags, digest", [
+    ("lie", 80, [], "392a2b1ad4ac83ca7ade48d475075de2d347a0bf08f436aa5c0cf1b141611041"),
+    ("lie", 80, ["--all"], "6dcde6d3010199e1c4060266db82bd0159127c666cb3caa41444144bd57c5726"),
+    ("chord", 100, [], "fc0fc87f340ebccb444f1c54b58fdeb8211ea68d3775402b5694034f334f89dc"),
+    ("chord", 100, ["--all"], "42e5b981b20c55306783eb2434b5eac9a8ddb1942f7737b0f3b4fe401c8887fc"),
+], ids=["lie-80", "lie-80-all", "chord-100", "chord-100-all"])
+def test_deep_table_pinned(capsys, name, loops, flags, digest):
+    # the deep-lie and deep-chord benchmark tables; entries 2..60 repeat the
+    # golden file, the rest are checked nowhere else in tier-1
+    code = main(["compute", "--species", name, "--max-loops", str(loops), *flags])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_lie_is_chi_of_out_fn():
