@@ -8,8 +8,10 @@ equality) only build rows of two exact values; one renderer,
 ``_compare``, makes the ``ok``/``MISMATCH`` lines and the pass flag.
 The handlers hold no range checks and catch nothing: the library's own
 checks decide, raising ``UsageError`` for a request out of range, and
-``main`` alone maps an exception to one ``error:`` line on stderr and
-its exit code.
+the parser raises it too for arguments it cannot parse.  ``main`` alone
+maps every failure, a parse failure included, to one ``error:`` line on
+stderr and its exit code; only ``--help`` prints usage to stdout and
+exits 0.
 
 All rational output is exact ("p/q", or "p" when the denominator is 1)
 and printed in full through ``decimal``, without changing
@@ -35,34 +37,41 @@ from .species import Species, UsageError, builtin_species, species_from_file
 __all__ = ["main"]
 
 FORMATS = ("plain", "csv", "json", "latex")
-# Row template and decimal separator of each text format.
-_TEXT_ROWS = {"plain": ("{}: {}", " ~ "), "csv": ("{},{}", ","),
-              "latex": ("{} & {} \\\\", " % ")}
+# Row template, decimal separator, fraction template and header line of
+# each text format; a header gains its decimal column under --decimal.
+_TEXT_ROWS = {"plain": ("{}: {}", " ~ ", "{}/{}", ""),
+              "csv": ("{},{}", ",", "{}/{}", "loops,value"),
+              "latex": ("{} & {} \\\\", " % ", "\\frac{{{}}}{{{}}}", "")}
 # --decimal rounding: 15 significant digits, half to even, exponent unbounded
 _APPROX = Context(prec=15, rounding=ROUND_HALF_EVEN, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse handles --help (0) and parse failures (2) itself
-        return int(exc.code or 0)
-    try:
+        args = _build_parser().parse_args(argv)
         lines, ok = args.handler(args)
         for line in lines:
             print(line)
+    except SystemExit as exc:  # --help, printed by argparse
+        return int(exc.code or 0)
     except Exception as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2 if isinstance(exc, UsageError) else 1
     return 0 if ok else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose parse failures raise ``UsageError``."""
+
+    def error(self, message: str):
+        # argparse quotes most values it names, but not unrecognized arguments
+        raise UsageError(message.replace("\n", "\\n"))
+
+
 @cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use; parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="orbchi",
         description="Exact orbifold Euler characteristics of graph complexes.",
     )
@@ -126,24 +135,22 @@ def _render(table: EulerTable, fmt: str, decimal: bool) -> list[str]:
         if decimal:
             obj["decimals"] = {str(n): _approx(v) for n, v in items}
         return [json.dumps(obj, separators=(",", ":"))]
-    row, sep = _TEXT_ROWS[fmt]
-    exact = _latex_rational if fmt == "latex" else _exact
-    lines = [row.format(n, exact(v)) + (sep + _approx(v) if decimal else "")
-             for n, v in items]
-    if fmt == "csv":
-        lines.insert(0, "loops,value,decimal" if decimal else "loops,value")
-    return lines
+    row, sep, frac, header = _TEXT_ROWS[fmt]
+    lines = [header + ",decimal" * decimal] if header else []
+    return lines + [row.format(n, _exact(v, frac)) + (sep + _approx(v) if decimal else "")
+                    for n, v in items]
 
 
-def _exact(v: Fraction | int) -> str:
-    """v as "p/q", or "p" when q is 1, in full however many digits it has.
+def _exact(v: Fraction | int, frac: str = "{}/{}") -> str:
+    """v as "p", when q is 1, or else as its sign and the template ``frac``
+    filled with |p| and q, in full however many digits they have.
 
     ``Decimal`` converts and prints an int exactly with no digit cap, so
     no interpreter-wide setting changes.
     """
     if v.denominator == 1:
         return str(Decimal(v.numerator))
-    return f"{Decimal(v.numerator)}/{Decimal(v.denominator)}"
+    return "-" * (v < 0) + frac.format(Decimal(abs(v.numerator)), Decimal(v.denominator))
 
 
 def _approx(v: Fraction) -> str:
@@ -157,13 +164,6 @@ def _approx(v: Fraction) -> str:
     if -4 <= exp < 15:
         return format(d, "f")
     return f"{d.scaleb(-exp, _APPROX):f}e{exp:+03d}"
-
-
-def _latex_rational(v: Fraction) -> str:
-    if v.denominator == 1:
-        return _exact(v)
-    sign = "-" if v < 0 else ""
-    return f"{sign}\\frac{{{_exact(abs(v.numerator))}}}{{{_exact(v.denominator)}}}"
 
 
 def _compare(rows: list[tuple[str, Fraction, Fraction, str]]) -> tuple[list[str], bool]:

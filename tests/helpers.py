@@ -21,3 +21,14 @@ GENERIC = Species("generic", lambda n: Q[n - 3])
 def exponent_terms(species, n):
     """A's nonzero terms (k, a_k), a_k = -q_(k+2), for k = 1..n."""
     return [(k, -q) for k in range(1, n + 1) if (q := species.q(k + 2))]
+
+
+def perfect_matchings(points):
+    """Every perfect matching of ``points`` as a list of pairs; none if odd."""
+    if not points:
+        yield []
+        return
+    first, rest = points[0], points[1:]
+    for i, partner in enumerate(rest):
+        for matching in perfect_matchings(rest[:i] + rest[i + 1:]):
+            yield [(first, partner)] + matching

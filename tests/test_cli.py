@@ -110,6 +110,9 @@ class TestCompute:
         # exact values of 3000 and 6000 digits, past str(int)'s default cap
         *[("1" + "0" * 1500, ["2.08333333333333e+2999", "3.125e+5999"], fmt)
           for fmt in FORMATS],
+        # the sign goes before each format's fraction template
+        *[("1/1" + "0" * 400, ["-1.25e-401", "-2.08333333333333e-402"], fmt)
+          for fmt in ("csv", "json", "latex")],
     ])
     def test_decimal_beyond_float_range(self, capsys, tmp_path, q, decimals, fmt):
         f = tmp_path / "extreme.json"
@@ -267,6 +270,28 @@ class TestCompute:
     def test_usage_error_from_argparse(self, capsys):
         code = main(["compute"])  # --species is required
         assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    "compute --species lie --max-loops x",
+    "verify analytic --t x",
+    "compute --species lie --format xml",
+    "compute",
+    "verify",
+    "frobnicate",
+    "compute --species lie extra",
+    "compute --species lie a\nb",  # argparse leaves this argument unquoted
+])
+def test_parse_failure_is_one_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv.split(" "))
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_help_is_usage_on_stdout_exit_0(capsys):
+    code, out, err = run(capsys, "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: orbchi")
 
 
 @pytest.mark.parametrize("command", [

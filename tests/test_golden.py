@@ -27,7 +27,7 @@ from orbchi.euler import all_graphs_series, connected_series
 from orbchi.oracle import _block_shapes
 from orbchi.species import builtin_species
 
-from helpers import GOLDEN
+from helpers import GOLDEN, perfect_matchings
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN["species"]))
@@ -115,16 +115,6 @@ def test_associative_splits_by_genus():
         assert total == Fraction(expected[str(n)]), n
 
 
-def pairings(free):
-    """Every perfect matching of the half-edges in ``free``, as a list of pairs."""
-    if not free:
-        yield []
-        return
-    for i, partner in enumerate(free[1:], start=1):
-        for rest in pairings(free[1:i] + free[i + 1:]):
-            yield [(free[0], partner), *rest]
-
-
 def orbit_count(*perms):
     """Number of orbits of the group the permutations of range(k) generate,
     each given as a list or dict h -> image."""
@@ -163,7 +153,7 @@ def test_associative_splits_by_face_count(m):
                      for h in range(end - size, end)]
             weight = Fraction((-1) ** v, math.prod(shape)
                               * math.prod(map(math.factorial, Counter(shape).values())))
-            for pairs in pairings(tuple(range(2 * e))):
+            for pairs in perfect_matchings(tuple(range(2 * e))):
                 iota = dict(pairs + [(b, a) for a, b in pairs])
                 if orbit_count(sigma, iota) == 1:
                     s = orbit_count([sigma[iota[h]] for h in range(2 * e)])

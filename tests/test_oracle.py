@@ -20,7 +20,7 @@ from orbchi.oracle import (
 from orbchi.series import _log
 from orbchi.species import Species, UsageError, builtin_species, species_from_file
 
-from helpers import GENERIC, R, exponent_terms
+from helpers import GENERIC, R, exponent_terms, perfect_matchings
 
 COMM = builtin_species("commutative")
 CAP = "the oracle counts graphs up to 11 loops"
@@ -70,17 +70,6 @@ def shapes_up_to(half_edges):
     """Every block shape (blocks of at least 3) of at most ``half_edges``."""
     return [shape for k in range(half_edges + 1) for v in range(k // 3 + 1)
             for shape in _block_shapes(k, v)]
-
-
-def perfect_matchings(points):
-    """Every perfect matching of ``points`` as a list of pairs; none if odd."""
-    if not points:
-        yield []
-        return
-    first, rest = points[0], points[1:]
-    for i, partner in enumerate(rest):
-        for matching in perfect_matchings(rest[:i] + rest[i + 1:]):
-            yield [(first, partner)] + matching
 
 
 def literal_pairing_counts(shape):
