@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
@@ -42,6 +43,8 @@ FORMATS = ("plain", "csv", "json", "latex")
 _TEXT_ROWS = {"plain": ("{}: {}", " ~ ", "{}/{}", ""),
               "csv": ("{},{}", ",", "{}/{}", "loops,value"),
               "latex": ("{} & {} \\\\", " % ", "\\frac{{{}}}{{{}}}", "")}
+# a str as ``repr`` quotes it, in single or double quotes
+_QUOTED = r"'(?:[^'\\]|\\.)*'" "|" r'"(?:[^"\\]|\\.)*"'
 # --decimal rounding: 15 significant digits, half to even, exponent unbounded
 _APPROX = Context(prec=15, rounding=ROUND_HALF_EVEN, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
@@ -61,11 +64,29 @@ def main(argv: list[str] | None = None) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser whose parse failures raise ``UsageError``."""
+    """An argument parser whose parse failures raise ``UsageError``.
+
+    Every argument a failure names is quoted through ``repr`` and cut the
+    way the library cuts quoted text, so a 5000-character value still
+    gives one short line.
+    """
+
+    def parse_args(self, args=None, namespace=None):
+        # argparse names unrecognized arguments unquoted; quote them too
+        parsed, extras = self.parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(map(repr, extras))}")
+        return parsed
 
     def error(self, message: str):
-        # argparse quotes most values it names, but not unrecognized arguments
+        message = re.sub(_QUOTED, lambda m: _cut(m[0]), message)
         raise UsageError(message.replace("\n", "\\n"))
+
+
+def _cut(quoted: str) -> str:
+    """A value quoted through ``repr``, cut as ``reprlib.repr`` cuts a str:
+    past 30 characters, its first 13 and last 14 around ``...``."""
+    return quoted if len(quoted) <= 30 else f"{quoted[:13]}...{quoted[-14:]}"
 
 
 @cache

@@ -44,15 +44,18 @@ class Species:
     """A vertex structure type, queried through its EGF coefficients.
 
     ``max_n`` is the largest valence with a defined count (``None`` when the
-    species is given by a closed formula and covers every n).
+    species is given by a closed formula and covers every n).  ``_ode`` is
+    the row (a2, b2, c1) of the built-in's inverse-series ODE (see
+    ``euler``), set by ``builtin_species`` alone and ``None`` otherwise.
     """
 
-    __slots__ = ("name", "max_n", "_q")
+    __slots__ = ("name", "max_n", "_q", "_ode")
 
     def __init__(self, name: str, q: Callable[[int], Fraction], max_n: int | None = None):
         self.name = name
         self.max_n = max_n
         self._q = q
+        self._ode: tuple[Fraction, Fraction, Fraction] | None = None
 
     def q(self, n: int) -> Fraction:
         """EGF coefficient Q_n / n!; zero below valence 3."""
@@ -91,6 +94,15 @@ _BUILTIN_Q: Mapping[str, Callable[[int], Fraction]] = {
     "chord": _chord_q,
 }
 
+# (a2, b2, c1) of u x' = w (1 + c1 x), u = (1 + a2 w^2) x + b2 w^2, the ODE
+# that f(x) = w^2/2 gives each built-in (``euler``'s inverse series)
+_BUILTIN_ODE: Mapping[str, tuple[Fraction, Fraction, Fraction]] = {
+    "commutative": (Fraction(0), Fraction(1, 2), Fraction(0)),
+    "associative": (Fraction(0), Fraction(0), Fraction(-1)),
+    "lie": (Fraction(0), Fraction(-1, 2), Fraction(-1)),
+    "chord": (Fraction(1, 2), Fraction(0), Fraction(0)),
+}
+
 
 def builtin_species(name: str) -> Species:
     """One of the four built-in species by name."""
@@ -99,7 +111,9 @@ def builtin_species(name: str) -> Species:
     except KeyError:
         valid = ", ".join(sorted(_BUILTIN_Q))
         raise UsageError(f"unknown species {reprlib.repr(name)} (valid names: {valid})") from None
-    return Species(name, q)
+    species = Species(name, q)
+    species._ode = _BUILTIN_ODE[name]
+    return species
 
 
 def species_from_file(path: str | Path) -> Species:

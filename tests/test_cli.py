@@ -1,6 +1,7 @@
 """Unit tests for the command-line interface."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -280,12 +281,29 @@ class TestCompute:
     "verify",
     "frobnicate",
     "compute --species lie extra",
-    "compute --species lie a\nb",  # argparse leaves this argument unquoted
+    "compute --species lie a\nb",  # an unrecognized argument holding a newline
 ])
 def test_parse_failure_is_one_error_line(capsys, argv):
     code, out, err = run(capsys, *argv.split(" "))
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    "compute --species lie --max-loops {}",
+    "verify analytic --t {}",
+    "compute --species lie --format {}",
+    "compute --species lie {}",
+    "{}",
+], ids=["int", "float", "choice", "unrecognized", "command"])
+@pytest.mark.parametrize("value", ["x" * 5000, "1" * 5000, "'\"\n" * 1700],
+                         ids=["letters", "digits", "quotes"])
+def test_parse_failure_cuts_a_long_value(capsys, argv, value):
+    # the value is echoed cut, as species-file text is: one short line
+    code, out, err = run(capsys, *argv.format(value).split(" "))
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert len(err.encode()) < 200
 
 
 def test_help_is_usage_on_stdout_exit_0(capsys):
@@ -311,17 +329,24 @@ def test_output_leaves_str_digit_cap_alone(capsys, monkeypatch, tmp_path, comman
     assert len(out) > 15000
 
 
-@pytest.mark.parametrize("loops", [40, 41], ids=["fraction-columns", "integer-columns"])
-def test_no_warning_in_a_fresh_process(tmp_path, loops):
-    # one table on each side of euler.INTEGER_FROM, with every warning an
-    # error: a deprecation in library code fails here on every interpreter;
-    # a fresh process, so that warnings raised while importing count too
+@pytest.mark.parametrize("species, loops", [("chord", 40), ("file", 41), ("chord", 41)],
+                         ids=["fraction-columns", "integer-columns", "inverse-series"])
+def test_no_warning_in_a_fresh_process(tmp_path, species, loops):
+    # each of the three sum routes once, with every warning an error: below
+    # euler.INTEGER_FROM, and from it a file species and a built-in; a
+    # deprecation in library code fails here on every interpreter, and a
+    # fresh process makes warnings raised while importing count too
+    if species == "file":  # chord's counts under its name, but no inverse-series row
+        f = tmp_path / "chord.json"
+        f.write_text(json.dumps({"name": "chord", "Q": {
+            str(n): 0 if n % 2 else math.prod(range(1, n, 2)) for n in range(3, 2 * loops + 1)}}))
+        species = f"file:{f}"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(Path(orbchi.cli.__file__).resolve().parent.parent),
                       env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-W", "error", "-m", "orbchi.cli", "compute",
-                           "--species", "chord", "--max-loops", str(loops), "--all",
+                           "--species", species, "--max-loops", str(loops), "--all",
                            "--format", "json"],
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert (proc.returncode, proc.stderr) == (0, "")

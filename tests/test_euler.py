@@ -15,6 +15,7 @@ from orbchi.euler import (
     _column_sum,
     _columns,
     _integer_columns,
+    _inverse_sum,
     all_graphs_series,
     connected_series,
     euler_characteristic,
@@ -189,15 +190,22 @@ def values(columns):
     return [{i: c / d for i, c in col.items()} for col, d in columns]
 
 
-def refuse(a, n):
-    pytest.fail("the other column layout ran")
+def refuse(*args):
+    pytest.fail("another route ran")
+
+
+def run_only(patch, route):
+    """Make every sum route but ``route`` fail the test when called."""
+    for other in {"_columns", "_integer_columns", "_inverse_sum"} - {route}:
+        patch.setattr(orbchi.euler, other, refuse)
 
 
 class TestIntegerColumnSum:
     """The sum's two column layouts.  ``_integer_columns`` yields the
     columns of ``_columns``, so both give the same sums, bit for bit; the
     columns are P_v = A^v / v!; and ``all_graphs_series`` takes the integer
-    layout from INTEGER_FROM loops on, for every species."""
+    layout from INTEGER_FROM loops on, for every species that carries no
+    inverse-series row."""
 
     CASES = ["commutative", "associative", "lie", "chord", "k_min 1", "k_min 2", "k_min 3", "zero"]
 
@@ -239,48 +247,107 @@ class TestIntegerColumnSum:
 
     @pytest.mark.parametrize("name", ["lie", "chord", "even", "zero"])
     def test_takes_integer_columns_from_the_crossover(self, tmp_path, monkeypatch, name):
+        # species without an inverse-series row: file species, one a copy of
+        # lie or chord under its name, and a hand-made one
         if name == "even":  # k_min = 2, as for chord
             sp = file_species(tmp_path, name, range(4, 2 * INTEGER_FROM + 1, 2), 2 * INTEGER_FROM)
         elif name == "zero":
             sp = Species("zero", lambda n: F(0))
         else:
-            sp = builtin_species(name)
-        tables = []
-        # one loop order below the crossover with the integer layout refused,
-        # and the crossover itself with the ring layout refused
-        for loops, other in ((INTEGER_FROM - 1, "_integer_columns"), (INTEGER_FROM, "_columns")):
-            with monkeypatch.context() as patch:
-                patch.setattr(orbchi.euler, other, refuse)
-                g = all_graphs_series(sp, loops)
-            tables.append([g[m] for m in range(loops)])
-            if name in GOLDEN["species"]:
-                gold = GOLDEN["species"][name]["all"]
-                assert tables[-1][1:] == [F(gold[str(n)]) for n in range(2, loops + 1)]
+            sp = builtin_copy(tmp_path, name, 2 * INTEGER_FROM)
+        tables = crossover_tables(monkeypatch, sp, "_integer_columns")
         assert tables[1][:-1] == tables[0]
         if name == "zero":  # the empty graph alone
             assert tables[1] == [1] + [0] * (INTEGER_FROM - 1)
 
 
+def builtin_copy(tmp_path, name, top):
+    """A species file holding built-in ``name``'s Q_3..Q_top under its name,
+    loaded as a user's would be: the same q_n, but no inverse-series row."""
+    builtin = builtin_species(name)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"name": name, "Q": {
+        str(n): str(builtin.structure_count(n)) for n in range(3, top + 1)}}))
+    sp = species_from_file(path)
+    assert sp._ode is None
+    return sp
+
+
+def crossover_tables(monkeypatch, sp, deep_route):
+    """The all-graphs tables one loop order below the crossover, by
+    ``_columns`` alone, and at it, by ``deep_route`` alone; each checked
+    against the golden values when the species has a built-in's name."""
+    tables = []
+    for loops, route in ((INTEGER_FROM - 1, "_columns"), (INTEGER_FROM, deep_route)):
+        with monkeypatch.context() as patch:
+            run_only(patch, route)
+            g = all_graphs_series(sp, loops)
+        tables.append([g[m] for m in range(loops)])
+        if sp.name in GOLDEN["species"]:
+            gold = GOLDEN["species"][sp.name]["all"]
+            assert tables[-1][1:] == [F(gold[str(n)]) for n in range(2, loops + 1)]
+    return tables
+
+
+class TestInverseSum:
+    """``_inverse_sum``, a built-in's route from ``INTEGER_FROM`` loops on,
+    equals the column sums bit for bit; a file species under a built-in's
+    name keeps the columns (``test_takes_integer_columns_from_the_crossover``)."""
+
+    BUILTINS = ["commutative", "associative", "lie", "chord"]
+
+    @pytest.mark.parametrize("name", BUILTINS)
+    def test_equals_column_sum_to_order_30(self, name):
+        sp = builtin_species(name)
+        g = _column_sum(_columns(exponent_terms(sp, 60), 60), 30)
+        for order in range(1, 31):
+            inverse = _inverse_sum(sp._ode, order)
+            assert inverse == g[:order + 1], order
+            assert all(type(c) is F for c in inverse)
+
+    @pytest.mark.parametrize("name, loops", [
+        ("lie", 80), ("commutative", 80), ("associative", 80), ("chord", 100)])
+    def test_equals_integer_columns_at_depth(self, name, loops):
+        sp = builtin_species(name)
+        n = 2 * (loops - 1)
+        expected = _column_sum(_integer_columns(exponent_terms(sp, n), n), loops - 1)
+        assert _inverse_sum(sp._ode, loops - 1) == expected
+
+    @pytest.mark.parametrize("name", ["lie", "chord"])
+    def test_takes_inverse_series_from_the_crossover(self, monkeypatch, name):
+        tables = crossover_tables(monkeypatch, builtin_species(name), "_inverse_sum")
+        assert tables[1][:-1] == tables[0]
+
+
 class TestThreshold:
     """``all_graphs_series`` takes the ring layout below ``INTEGER_FROM``
-    loops and the integer layout from it on, wherever the threshold sits,
-    and each layout's lie table at 40 and 41 loops and chord table at 80
-    and 81 agree with the golden all-graphs values (to 60 loops)."""
+    loops, and from it on the inverse series for a built-in and the integer
+    layout for its file copy, wherever the threshold sits; each route's lie
+    table at 40 and 41 loops and chord table at 80 and 81 agree with the
+    golden all-graphs values (to 60 loops)."""
 
     @staticmethod
-    def check(name, loops):
-        g = all_graphs_series(builtin_species(name), loops)
-        gold = {int(n): F(c) for n, c in GOLDEN["species"][name]["all"].items() if int(n) <= loops}
+    def check(sp, loops):
+        g = all_graphs_series(sp, loops)
+        gold = {int(n): F(c) for n, c in GOLDEN["species"][sp.name]["all"].items()
+                if int(n) <= loops}
         assert {n: g[n - 1] for n in gold} == gold
 
     @pytest.mark.parametrize("name, loops", [("lie", 40), ("chord", 80)])
     def test_below_runs_the_fraction_sum(self, monkeypatch, name, loops):
         monkeypatch.setattr(orbchi.euler, "INTEGER_FROM", loops + 1)
-        monkeypatch.setattr(orbchi.euler, "_integer_columns", refuse)
-        self.check(name, loops)
+        run_only(monkeypatch, "_columns")
+        self.check(builtin_species(name), loops)
 
     @pytest.mark.parametrize("name, loops", [("lie", 41), ("chord", 81)])
-    def test_from_threshold_runs_the_integer_sum(self, monkeypatch, name, loops):
+    def test_from_threshold_runs_the_integer_sum(self, tmp_path, monkeypatch, name, loops):
+        # the built-in's file copy, which carries no inverse-series row
         monkeypatch.setattr(orbchi.euler, "INTEGER_FROM", loops)
-        monkeypatch.setattr(orbchi.euler, "_columns", refuse)
-        self.check(name, loops)
+        run_only(monkeypatch, "_integer_columns")
+        self.check(builtin_copy(tmp_path, name, 2 * loops), loops)
+
+    @pytest.mark.parametrize("name, loops", [("lie", 41), ("chord", 81)])
+    def test_from_threshold_runs_the_inverse_sum(self, monkeypatch, name, loops):
+        monkeypatch.setattr(orbchi.euler, "INTEGER_FROM", loops)
+        run_only(monkeypatch, "_inverse_sum")
+        self.check(builtin_species(name), loops)
